@@ -230,7 +230,7 @@ public:
   struct Property {
     std::string Key;
     Expr *Value;
-    StringId KeyAtom; ///< Filled by the ObjectLiteral constructor.
+    StringId KeyAtom{}; ///< Filled by the ObjectLiteral constructor.
   };
   ObjectLiteral(NodeID ID, SourceRange R, std::vector<Property> Properties)
       : Expr(NodeKind::ObjectLiteral, ID, R),
@@ -517,7 +517,7 @@ public:
   struct Declarator {
     std::string Name;
     Expr *Init; ///< May be null.
-    StringId Atom; ///< Filled by the VarDeclStmt constructor.
+    StringId Atom{}; ///< Filled by the VarDeclStmt constructor.
   };
   VarDeclStmt(NodeID ID, SourceRange R, std::vector<Declarator> Decls)
       : Stmt(NodeKind::VarDeclStmt, ID, R), Decls(std::move(Decls)) {

@@ -448,21 +448,6 @@ uint64_t dda::subtreePositionHash(const Node *N) {
   return positionHashRec(N, 0xcbf29ce484222325ull);
 }
 
-std::vector<uint64_t> dda::topLevelHashes(const Program &P) {
-  std::vector<uint64_t> Hashes;
-  Hashes.reserve(P.Body.size());
-  for (const Stmt *S : P.Body)
-    Hashes.push_back(subtreeHash(S));
-  return Hashes;
-}
-
-uint64_t dda::programHash(const Program &P) {
-  uint64_t H = 0x2545f4914f6cdd1dull;
-  for (const Stmt *S : P.Body)
-    H = mixHash(H, subtreeHash(S));
-  return H;
-}
-
 void dda::warmStructuralHashes(const Program &P) {
   for (const Stmt *S : P.Body)
     (void)subtreeHash(S);

@@ -26,7 +26,6 @@
 #include "ast/ASTContext.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace dda {
 
@@ -41,13 +40,6 @@ uint64_t subtreeHash(const Node *N);
 
 /// Hash of the (NodeID, line, column) layout of the subtree rooted at N.
 uint64_t subtreePositionHash(const Node *N);
-
-/// Structural hashes of each top-level statement, in program order. Warms
-/// the memo for every node in the program as a side effect.
-std::vector<uint64_t> topLevelHashes(const Program &P);
-
-/// One hash for the whole program: the chained fold of topLevelHashes.
-uint64_t programHash(const Program &P);
 
 /// Computes (and memoizes) the structural hash of every subtree in the
 /// program. Call once after parsing so later concurrent readers only ever

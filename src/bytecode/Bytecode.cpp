@@ -306,7 +306,6 @@ public:
       Br.AEnd = Br.BStart = Br.BEnd = pc();
       Br.VdA = vd(L->getRHS());
       Br.VdB = 0;
-      Br.NodeA = L->getRHS();
       Ch.Code[BranchIP].C = addBranch(Br);
       return;
     }
@@ -324,8 +323,6 @@ public:
       Br.BEnd = pc();
       Br.VdA = vd(C->getThen());
       Br.VdB = vd(C->getElse());
-      Br.NodeA = C->getThen();
-      Br.NodeB = C->getElse();
       Ch.Code[BranchIP].C = addBranch(Br);
       return;
     }

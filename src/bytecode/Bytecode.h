@@ -152,12 +152,6 @@ struct Instr {
 struct BranchInfo {
   uint32_t AStart, AEnd, BStart, BEnd;
   uint32_t VdA, VdB; ///< VdLists indices (untaken-side vd); VdB unused for &&/||.
-  /// The AST subtrees the ranges were compiled from (A = RHS / then-arm,
-  /// B = else-arm; null when the side does not exist). A parallel branch's
-  /// shadow interpreter tree-walks the untaken subtree — chunks are
-  /// per-interpreter scratch and cannot cross threads.
-  const Expr *NodeA = nullptr;
-  const Expr *NodeB = nullptr;
 };
 
 /// One monomorphic inline-cache entry. Variable instructions cache the
@@ -214,24 +208,6 @@ std::unique_ptr<Chunk> compileExpr(const Expr *Root);
 class Module {
 public:
   const Chunk &getOrCompile(const Expr *E);
-
-  /// Drops every cached chunk pointer, warmth counter, and inline-cache
-  /// entry. Used when a speculative execution is rolled back: chunks
-  /// compiled during the speculation may reference eval-AST nodes that
-  /// rollbackTo just freed, and speculatively filled inline caches may
-  /// point into map nodes of objects the rollback truncated — a
-  /// deterministic rerun re-allocates the same ObjectRef and can re-reach
-  /// the cached shape generation, so a stale entry could *hit* on a freed
-  /// pointer. The chunk storage itself is retained (Owned) because an
-  /// in-flight dispatch activation below the rollback point may still be
-  /// executing one.
-  void flushCaches() {
-    for (Entry &En : Table)
-      En = Entry();
-    for (auto &Ch : Owned)
-      for (InlineCache &C : Ch->IC)
-        C = InlineCache();
-  }
 
   /// Tiered lookup: returns the chunk once \p E has run often enough to be
   /// worth compiling, null while it is still cold (the caller tree-walks —

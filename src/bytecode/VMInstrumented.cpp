@@ -44,7 +44,7 @@ IRes InstrumentedInterpreter::vmEval(const Expr *E) {
 IRes InstrumentedInterpreter::vmBranchExpr(
     const Chunk &Ch, const TaggedValue &CondV, bool HasTaken, uint32_t TFrom,
     uint32_t TTo, bool HasUntaken, uint32_t UFrom, uint32_t UTo,
-    uint32_t UntakenVd, const Expr *UntakenNode) {
+    uint32_t UntakenVd) {
   if (CondV.isDet()) {
     if (!HasTaken)
       return IRes::value(CondV);
@@ -52,49 +52,27 @@ IRes InstrumentedInterpreter::vmBranchExpr(
   }
   // Indeterminate condition: explore the untaken side counterfactually
   // against the shared pre-branch state.
-  IRes TakenR;
-  auto RunTaken = [&]() -> IComp {
-    Journal::Mark M = J.mark();
-    ++IndetBranchDepth;
-    IRes R = vmRun(Ch, TFrom, TTo);
-    --IndetBranchDepth;
-    markIndetSince(M);
-    if (R.abrupt()) {
-      if (R.C.K != IComp::Fatal)
-        R.C.IndetControl = true;
-      TakenR = R;
-      return R.C;
-    }
-    TakenR = IRes::value(R.V.asIndeterminate());
-    return IComp::normal();
-  };
   if (HasUntaken) {
-    if (HasTaken && UntakenNode) {
-      // The shadow interpreter tree-walks the untaken subtree: its chunk
-      // cache is private and the two engines are observationally identical.
-      IComp Out;
-      if (tryParallelBranch(
-              UntakenNode->getID(), Ch.VdLists[UntakenVd],
-              [UntakenNode](InstrumentedInterpreter &Sh) {
-                return Sh.evalExpr(UntakenNode).C;
-              },
-              RunTaken, Out))
-        return TakenR;
-    }
-    uint64_t CfSteps0 = Gov.stepsUsed();
     IComp CF = counterfactualBranch(Ch.VdLists[UntakenVd], [&] {
       IRes R = vmRun(Ch, UFrom, UTo);
       return R.C;
     });
     if (CF.K == IComp::Fatal)
       return IRes::abruptly(CF);
-    if (UntakenNode)
-      noteBranchCfSteps(UntakenNode->getID(), CfSteps0);
   }
   if (!HasTaken)
     return IRes::value(CondV.asIndeterminate());
-  RunTaken();
-  return TakenR;
+  Journal::Mark M = J.mark();
+  ++IndetBranchDepth;
+  IRes R = vmRun(Ch, TFrom, TTo);
+  --IndetBranchDepth;
+  markIndetSince(M);
+  if (R.abrupt()) {
+    if (R.C.K != IComp::Fatal)
+      R.C.IndetControl = true;
+    return R;
+  }
+  return IRes::value(R.V.asIndeterminate());
 }
 
 IRes InstrumentedInterpreter::vmRun(const Chunk &Ch, uint32_t From,
@@ -761,8 +739,7 @@ L_Top:
       VM_JUMP();
     }
     IRes R = vmBranchExpr(Ch, LHS, EvaluatesRHS, Br.AStart, Br.AEnd,
-                          !EvaluatesRHS, Br.AStart, Br.AEnd, Br.VdA,
-                          EvaluatesRHS ? nullptr : Br.NodeA);
+                          !EvaluatesRHS, Br.AStart, Br.AEnd, Br.VdA);
     if (R.abrupt())
       return Fail(std::move(R.C));
     S[Top++] = std::move(R.V);
@@ -802,9 +779,9 @@ L_Top:
       VM_JUMP();
     }
     IRes R = B ? vmBranchExpr(Ch, Cond, true, Br.AStart, Br.AEnd, true,
-                              Br.BStart, Br.BEnd, Br.VdB, Br.NodeB)
+                              Br.BStart, Br.BEnd, Br.VdB)
                : vmBranchExpr(Ch, Cond, true, Br.BStart, Br.BEnd, true,
-                              Br.AStart, Br.AEnd, Br.VdA, Br.NodeA);
+                              Br.AStart, Br.AEnd, Br.VdA);
     if (R.abrupt())
       return Fail(std::move(R.C));
     S[Top++] = std::move(R.V);

@@ -35,7 +35,6 @@ namespace dda {
 
 class FactStore;
 class FaultInjector;
-class ThreadPool;
 
 /// Whether (and how) the interpreter reuses persisted region summaries.
 enum class IncrementalMode : uint8_t {
@@ -127,18 +126,6 @@ struct AnalysisOptions {
   /// are byte-identical between the two.
   UndoEngine Undo = UndoEngine::Snapshot;
 
-  /// Run the taken and counterfactual sides of eligible indeterminate
-  /// branches concurrently (requires BranchPool and the Snapshot undo
-  /// engine). The fold is deterministic: merged facts are byte-identical
-  /// to the sequential execution at any thread count.
-  bool ParallelBranches = false;
-
-  /// Worker pool for intra-run branch parallelism (not owned; may be
-  /// null, which disables ParallelBranches). Kept separate from the
-  /// seed-level pool so branch tasks can never deadlock behind whole-run
-  /// tasks occupying every worker.
-  ThreadPool *BranchPool = nullptr;
-
   /// Incremental re-analysis (`--incremental`): replay top-level regions
   /// whose (statement key, reaching-state fingerprint, option fingerprint)
   /// match a summary in Store, and capture fresh summaries for the rest.
@@ -174,11 +161,9 @@ struct AnalysisStats {
   // Snapshot-engine observability. These describe *how* undo was done, not
   // *what* the analysis concluded, so they are excluded from the
   // fact-fingerprint parity contract (they legitimately differ between
-  // undo engines and with/without branch parallelism).
+  // undo engines).
   uint64_t SnapshotForks = 0;         ///< COW snapshot frames opened.
   uint64_t CowCopies = 0;             ///< Object/environment pre-images saved.
-  uint64_t ParallelBranchTasks = 0;   ///< Counterfactuals dispatched to the pool.
-  uint64_t ParallelBranchCommits = 0; ///< Dispatched branches folded without rerun.
   // Incremental-replay observability. Same contract as the snapshot
   // counters: mechanism, not conclusions — excluded from fact fingerprints
   // (a warm run replays instead of executing, but produces byte-identical

@@ -43,7 +43,7 @@ using namespace dda;
 uint64_t dda::optionVectorFingerprint(const AnalysisOptions &Opts,
                                       std::string_view InjectorSpec) {
   ByteWriter W;
-  W.u32(1); // fingerprint schema version
+  W.u32(2); // fingerprint schema version
   W.u64(Opts.DomSeed);
   W.u8(static_cast<uint8_t>(Opts.Engine));
   W.u64(Opts.MaxSteps);
@@ -60,7 +60,6 @@ uint64_t dda::optionVectorFingerprint(const AnalysisOptions &Opts,
   W.u8(Opts.StrictTaint);
   W.u8(Opts.RecordAllExpressions);
   W.u8(static_cast<uint8_t>(Opts.Undo));
-  W.u8(Opts.ParallelBranches);
   W.str(InjectorSpec);
   return summaryChecksum(W.bytes());
 }
@@ -354,11 +353,11 @@ bool InstrumentedInterpreter::incrementalActive() const {
   // skips its checkpoints and would shift every later ordinal, so the
   // incremental layer stands down entirely when one is attached.
   return Opts.Incremental != IncrementalMode::Off && Opts.Store &&
-         !Opts.Injector && !IsShadowBranch;
+         !Opts.Injector;
 }
 
 bool InstrumentedInterpreter::regionBoundaryClean() const {
-  if (CfDepth != 0 || SpecActive || IndetBranchDepth != 0 || CfAbortRequested)
+  if (CfDepth != 0 || IndetBranchDepth != 0 || CfAbortRequested)
     return false;
   if (CfThrowMark || CfBreakMark)
     return false;
@@ -533,9 +532,9 @@ bool InstrumentedInterpreter::buildRegionDelta(const RegionCaptureState &RC,
     W.u32(E.Line);
   }
 
-  // Facts, sorted by (key, value) — shadow-branch folds make the raw
-  // mirror order nondeterministic, but FactDB::record's merge is
-  // order-independent, so any canonical order is sound.
+  // Facts, sorted by (key, value): the delta bytes stay canonical whatever
+  // the recording order, and FactDB::record's merge is order-independent,
+  // so any canonical order is sound.
   std::sort(IncFacts.begin(), IncFacts.end(),
             [](const std::pair<FactKey, FactValue> &A,
                const std::pair<FactKey, FactValue> &B) {

@@ -97,11 +97,10 @@ public:
   ContextTable &contexts() { return Contexts; }
   const AnalysisStats &stats() const { return Stats; }
   /// Stats with the derived CowCopies counter filled in (pre-image copies
-  /// across this interpreter's arenas plus committed shadow branches); what
-  /// the analysis result publishes.
+  /// across this interpreter's arenas); what the analysis result publishes.
   AnalysisStats finalStats() const {
     AnalysisStats S = Stats;
-    S.CowCopies = TheHeap.cowSaves() + Envs.cowSaves() + CowSavesFolded;
+    S.CowCopies = TheHeap.cowSaves() + Envs.cowSaves();
     return S;
   }
   const std::string &outputText() const { return Output; }
@@ -218,11 +217,10 @@ private:
 
   // --- Snapshot undo engine (UndoEngine::Snapshot) -------------------------
   /// Opens a paired journal mark + copy-on-write frame on both arenas and
-  /// returns the mark, which is what undoSince() later receives. \p Charged
-  /// frames bill each pre-image copy to the heap-cell budget (counterfactual
-  /// branches model real alternative-world allocations of undo state); the
-  /// base frame and speculation frames are free.
-  Journal::Mark beginUndoFrame(bool Charged);
+  /// returns the mark, which is what undoSince() later receives. The frame
+  /// bills each pre-image copy to the heap-cell budget (a counterfactual
+  /// branch models real alternative-world allocations of undo state).
+  Journal::Mark beginUndoFrame();
   /// Copy-on-write write barriers, called by every journaled-mutation site
   /// immediately before mutating. No-ops under the journal engine, where the
   /// pre-image rides in the journal entry instead.
@@ -251,67 +249,6 @@ private:
     std::optional<Journal::Mark> ReturnEscape;
   };
 
-  // --- Intra-run parallel branch exploration -------------------------------
-  /// Tag for the shadow-forking constructor.
-  struct ShadowBranchTag {};
-  /// Deep-copies \p Parent into an isolated shadow interpreter that runs one
-  /// counterfactual branch on a pool thread: private arenas, governor, RNGs,
-  /// journal, facts, context table and eval arena; only the immutable
-  /// Program (and the global string interner, which is thread-safe and
-  /// canonical) are shared.
-  InstrumentedInterpreter(InstrumentedInterpreter &Parent, ShadowBranchTag);
-
-  /// Pre-speculation state of the main interpreter: everything rollbackSpec
-  /// needs to make a speculative taken-side execution fully unobservable
-  /// before the sequential rerun.
-  struct SpecCheckpoint {
-    AnalysisStats Stats;
-    Journal::Mark Mark = 0;
-    size_t HeapSize = 0, EnvSize = 0;
-    uint64_t HeapSaves = 0, EnvSaves = 0;
-    ResourceGovernor::Checkpoint Gov;
-    uint64_t RandomState = 0, DomState = 0;
-    uint32_t Epoch = 0;
-    size_t OutputLen = 0, HandlersLen = 0;
-    FlatMap<StringId, ObjectRef> DomElements;
-    TaggedValue LastStmt;
-    Frame TopFrame;
-    size_t FrameDepth = 0;
-    EnvRef CurEnv = 0;
-    std::optional<Journal::Mark> ThrowMark, BreakMark;
-    unsigned IndetDepth = 0;
-    bool AbortReq = false;
-    DegradationReport Degradation;
-    ASTContext *EvalCtx = nullptr;
-    NodeID AstNextID = 0;
-    size_t AstNodeCount = 0;
-    size_t VLen = 0, JLen = 0;
-  };
-  SpecCheckpoint captureSpec();
-  void rollbackSpec(const SpecCheckpoint &Cp);
-  /// Whether the shadow's finished counterfactual left *zero* net effects
-  /// beyond journalled-then-undone writes — the condition under which the
-  /// speculative taken-side run is byte-identical to the sequential order
-  /// and the shadow's facts/stats can be folded in.
-  bool shadowFoldable(const InstrumentedInterpreter &Sh,
-                      const SpecCheckpoint &Cp, const IComp &CfC) const;
-  void foldShadow(InstrumentedInterpreter &Sh, const SpecCheckpoint &Cp);
-  /// Runs the counterfactual (untaken) side on Opts.BranchPool while this
-  /// thread speculatively runs the taken side. On success \p Out holds the
-  /// taken side's completion and the merged state is byte-identical to
-  /// sequential execution; on failure (ineligible branch, saturated pool, or
-  /// unfoldable counterfactual side effects) all speculative state is rolled
-  /// back and the caller must run the sequential path.
-  bool tryParallelBranch(
-      NodeID Site, const std::vector<StringId> &AbortVd,
-      const std::function<IComp(InstrumentedInterpreter &)> &UntakenExec,
-      const std::function<IComp()> &TakenExec, IComp &Out);
-  /// Records how many governor steps the just-finished *sequential*
-  /// counterfactual at \p Site consumed (callers pass the pre-branch
-  /// Gov.stepsUsed() reading), feeding the dispatch profile consulted by
-  /// tryParallelBranch. No-op unless parallel branches are enabled.
-  void noteBranchCfSteps(NodeID Site, uint64_t StepsBefore);
-
   // --- Incremental region replay (IncrementalRegions.cpp) ------------------
   /// True when this run consults/feeds the persistent fact store.
   bool incrementalActive() const;
@@ -322,7 +259,7 @@ private:
   /// instead of executing.
   IComp execProgramBody();
   /// The interpreter is at the base toplevel state from which a region's
-  /// effect delta is meaningful: no branch/speculation in flight, no
+  /// effect delta is meaningful: no branch in flight, no
   /// pending cross-world control transfer, base frames only.
   bool regionBoundaryClean() const;
   /// Mirrors hoist(Prog.Body)'s recursion over declarations (names and the
@@ -375,13 +312,10 @@ private:
   IRes vmRun(const bc::Chunk &Ch, uint32_t From, uint32_t To);
   /// The VM's evalBranchExpr: the taken/untaken operands are code ranges of
   /// \p Ch instead of subtrees; \p UntakenVd indexes Ch.VdLists.
-  /// \p UntakenNode is the untaken side's AST subtree (from
-  /// BranchInfo::NodeA/NodeB) — the shadow interpreter of a parallel branch
-  /// tree-walks it, since chunks are per-interpreter scratch.
   IRes vmBranchExpr(const bc::Chunk &Ch, const TaggedValue &CondV,
                     bool HasTaken, uint32_t TFrom, uint32_t TTo,
                     bool HasUntaken, uint32_t UFrom, uint32_t UTo,
-                    uint32_t UntakenVd, const Expr *UntakenNode);
+                    uint32_t UntakenVd);
   /// Expression-level conditional branches (?:, &&, ||) follow the same
   /// indeterminate-condition discipline as if statements: with an
   /// indeterminate condition, the untaken side is counterfactually evaluated
@@ -416,32 +350,21 @@ private:
                     const TaggedValue &TV, uint16_t Index = 0);
   void recordFactValue(FactKind Kind, NodeID Node, FactValue FV,
                        uint16_t Index = 0);
-  /// Single sink behind the recordFact family: records into the FactDB, or
-  /// buffers into SpecFacts during a speculative taken-side run (the FactDB
-  /// has no undo; buffered facts are flushed on fold, dropped on rollback).
-  /// The FactValue is materialized at call time either way — it may read
-  /// heap state that later mutates.
+  /// Single sink behind the recordFact family: records into the FactDB and
+  /// mirrors into the incremental region delta while a capture is in
+  /// flight.
   void commitFactRecord(const FactKey &K, const FactValue &FV);
-  /// Coverage sinks with the same speculation-buffering discipline. The
-  /// IncCapturing mirror feeds the incremental region delta (speculative
-  /// entries are mirrored on fold, where they actually commit).
+  /// Coverage sinks; the IncCapturing mirror feeds the incremental region
+  /// delta.
   void noteExecutedStmt(NodeID N) {
-    if (SpecActive) {
-      SpecStmts.push_back(N);
-    } else {
-      ExecutedStmts.insert(N);
-      if (IncCapturing)
-        IncStmts.push_back(N);
-    }
+    ExecutedStmts.insert(N);
+    if (IncCapturing)
+      IncStmts.push_back(N);
   }
   void noteExecutedCall(NodeID N) {
-    if (SpecActive) {
-      SpecCalls.push_back(N);
-    } else {
-      ExecutedCalls.insert(N);
-      if (IncCapturing)
-        IncCalls.push_back(N);
-    }
+    ExecutedCalls.insert(N);
+    if (IncCapturing)
+      IncCalls.push_back(N);
   }
   /// Per-step governor checkpoint; defined inline because the dispatch
   /// loops call it once per AST node / instruction.
@@ -523,39 +446,6 @@ private:
   std::string Output;
   std::string Error;
   TaggedValue LastStmtValue;
-
-  // --- Parallel-branch state ----------------------------------------------
-  bool IsShadowBranch = false; ///< This instance is a forked shadow.
-  /// Set by enterSite in a shadow: the counterfactual made a call (closure,
-  /// native, or eval). Calls have effects the fold cannot reproduce
-  /// (context-table interning, per-frame occurrence counters, handler
-  /// registration), so the branch is not foldable.
-  bool ShadowSawCall = false;
-  bool SpecActive = false;        ///< Speculative taken-side run in flight.
-  bool SpecSawEval = false;       ///< The speculation entered evalEval.
-  bool SpecWroteLastStmt = false; ///< Speculation assigned LastStmtValue.
-  std::vector<std::pair<FactKey, FactValue>> SpecFacts;
-  std::vector<NodeID> SpecStmts, SpecCalls;
-  /// Private eval-AST overlay of a shadow (referenced by its
-  /// Opts.EvalContext), based at the parent's eval arena nextID.
-  std::unique_ptr<ASTContext> ShadowEvalCtx;
-  /// Pre-image copies made by committed shadow branches, whose arenas die
-  /// with them; folded into the CowCopies statistic.
-  uint64_t CowSavesFolded = 0;
-  /// Dispatched shadow branches whose fold was rejected (the branch had
-  /// effects the fold cannot reproduce, typically calls). Each failure pays
-  /// a full arena fork plus a wasted counterfactual run, so once failures
-  /// consistently outpace commits further dispatch is suppressed for the
-  /// rest of the run. Fold rejection is deterministic for a given program
-  /// and seed, so the cutoff — and the merged facts — stay deterministic.
-  uint64_t ParallelFoldFailures = 0;
-  /// Per-branch-site dispatch profile: governor steps the most recent
-  /// counterfactual at this site consumed (keyed by the untaken node).
-  /// Forking a shadow copies the live heap/env/context state, so a site is
-  /// only worth dispatching when its counterfactual amortizes that copy;
-  /// unknown sites dispatch once optimistically to seed the profile. All
-  /// inputs are deterministic, so gating never perturbs merged facts.
-  FlatMap<NodeID, uint64_t> BranchCfSteps;
 
   // --- Incremental-replay state --------------------------------------------
   /// A region capture is in flight: the fact/coverage sinks mirror their

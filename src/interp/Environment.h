@@ -55,6 +55,8 @@ struct Environment {
 class EnvArena {
 public:
   EnvArena() { Envs.push(); } // Index 0 invalid.
+  EnvArena(const EnvArena &) = delete;
+  EnvArena &operator=(const EnvArena &) = delete;
 
   EnvRef allocate(EnvRef Parent) {
     Envs.push().Parent = Parent;
@@ -152,22 +154,6 @@ public:
       noteShapeChange();
   }
 
-  void commitSnapshot() {
-    assert(!Snapshots.empty() && "no snapshot frame to commit");
-    SnapshotFrame F = std::move(Snapshots.back());
-    Snapshots.pop_back();
-    if (!Snapshots.empty()) {
-      SnapshotFrame &P = Snapshots.back();
-      for (auto &E : F.Saved)
-        P.Saved.push_back(std::move(E));
-    }
-  }
-
-  void dropSnapshotsForFork() { Snapshots.clear(); }
-
-  /// Parks the truncated environments for pooled reuse (mirrors Heap).
-  void truncateTo(size_t N) { Envs.truncateTo(N + 1); }
-
   size_t snapshotDepth() const { return Snapshots.size(); }
   uint64_t cowSaves() const { return CowSaveCount; }
 
@@ -179,7 +165,7 @@ private:
   };
 
   // Chunked arena (was std::deque): same reference stability, chunk size
-  // tuned to the element, pooled reuse across speculation rollbacks.
+  // tuned to the element.
   ChunkedArena<Environment> Envs;
   uint32_t ShapeG = 1;
   ResourceGovernor *Gov = nullptr;

@@ -186,7 +186,7 @@ public:
   std::unordered_map<StringId, Slot> &slots() { return Props; }
 
   /// Restores the freshly-constructed state in place (ChunkedArena pool
-  /// reuse after a speculation rollback). Observable state must be
+  /// reuse after truncateTo). Observable state must be
   /// byte-equivalent to destroy+reconstruct — ShapeGen/SaveGen return to
   /// zero exactly as a new object's would — while the containers keep
   /// their allocated capacity.
@@ -231,6 +231,11 @@ private:
 class Heap {
 public:
   Heap() { Objects.push(); } // Index 0 is the invalid object.
+  // Move-only: nothing needs a second copy of a live heap.
+  Heap(const Heap &) = delete;
+  Heap &operator=(const Heap &) = delete;
+  Heap(Heap &&) = default;
+  Heap &operator=(Heap &&) = default;
 
   /// Attaches a budget governor (not owned; may be null). Interpreters set
   /// this *after* installing builtins so that only program-driven
@@ -242,8 +247,6 @@ public:
   ObjectRef allocate(ObjectClass Class, NodeID AllocSite = 0) {
     if (Gov)
       Gov->noteHeapCell();
-    // push() either constructs a fresh object or resets a parked one
-    // (speculation-rollback pool reuse); both start byte-identical.
     JSObject &O = Objects.push();
     O.Class = Class;
     O.AllocSite = AllocSite;
@@ -284,8 +287,7 @@ public:
 
   /// Opens a snapshot frame. \p Charged frames bill each pre-image copy to
   /// the governor's heap-cell budget (counterfactual branches; see
-  /// ResourceGovernor::noteCowSave); uncharged frames (the base frame and
-  /// speculation frames) do not.
+  /// ResourceGovernor::noteCowSave); the uncharged base frame does not.
   void beginSnapshot(bool Charged) {
     Snapshots.push_back(SnapshotFrame{++SnapGen, Charged, {}});
   }
@@ -307,9 +309,8 @@ public:
   }
 
   /// Undoes every write made since the innermost frame opened by assigning
-  /// the pre-images back in reverse save order (an outer frame may hold two
-  /// copies of one object around a committed inner frame; the older one,
-  /// applied last, wins). Each restored object gets a ShapeGen strictly
+  /// the pre-images back in reverse save order. Each restored object gets a
+  /// ShapeGen strictly
   /// above its live value: assignment replaces the property map wholesale,
   /// so any inline-cache pointer into the old nodes must be invalidated.
   void restoreSnapshot() {
@@ -324,37 +325,6 @@ public:
     Snapshots.pop_back();
   }
 
-  /// Closes the innermost frame keeping its writes. Its pre-images are
-  /// *merged* into the enclosing frame (appended, so reverse-order restore
-  /// still applies the enclosing frame's own, older copies last): an object
-  /// first written inside the committed frame has its only pre-image there,
-  /// and the enclosing frame must still be able to undo past the commit.
-  /// With no enclosing frame the pre-images are dropped. Live objects keep
-  /// the dead frame's stamp, which no future frame generation can equal, so
-  /// the enclosing frame re-saves them on their next write (a harmless
-  /// duplicate copy).
-  void commitSnapshot() {
-    assert(!Snapshots.empty() && "no snapshot frame to commit");
-    SnapshotFrame F = std::move(Snapshots.back());
-    Snapshots.pop_back();
-    if (!Snapshots.empty()) {
-      SnapshotFrame &P = Snapshots.back();
-      for (auto &E : F.Saved)
-        P.Saved.push_back(std::move(E));
-    }
-  }
-
-  /// For a deep-copied (forked) heap: drops the frames copied from the
-  /// parent — they guard the *parent's* journal marks — while keeping the
-  /// generation counter monotonic so stale SaveGen stamps never collide
-  /// with a new frame.
-  void dropSnapshotsForFork() { Snapshots.clear(); }
-
-  /// Shrinks the arena back to \p N objects (speculation rollback; \p N was
-  /// captured via size() at the fork point). The removed objects are parked
-  /// for pooled reuse, not destroyed.
-  void truncateTo(size_t N) { Objects.truncateTo(N + 1); }
-
   size_t snapshotDepth() const { return Snapshots.size(); }
   uint64_t cowSaves() const { return CowSaveCount; }
 
@@ -366,9 +336,8 @@ private:
   };
 
   // Chunked arena: object references handed out as JSObject& stay valid
-  // across later allocations (chunks never move), chunks are sized in
-  // objects rather than libstdc++'s 512-byte deque blocks, and truncated
-  // objects are pooled for reuse across counterfactual churn.
+  // across later allocations (chunks never move), and chunks are sized in
+  // objects rather than libstdc++'s 512-byte deque blocks.
   ChunkedArena<JSObject> Objects;
   ResourceGovernor *Gov = nullptr;
   std::vector<SnapshotFrame> Snapshots;

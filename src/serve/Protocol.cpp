@@ -314,16 +314,11 @@ std::string dda::serve::analysisPayloadJson(const AnalysisResult &R,
   Out += std::to_string(R.Stats.Counterfactuals);
   // Undo-engine observability. Deliberately NOT part of the fingerprint:
   // these describe how branches were undone, not what the analysis
-  // concluded, and legitimately differ between undo engines and with
-  // branch parallelism on or off.
+  // concluded, and legitimately differ between undo engines.
   Out += ",\"snapshot_forks\":";
   Out += std::to_string(R.Stats.SnapshotForks);
   Out += ",\"cow_copies\":";
   Out += std::to_string(R.Stats.CowCopies);
-  Out += ",\"parallel_branch_tasks\":";
-  Out += std::to_string(R.Stats.ParallelBranchTasks);
-  Out += ",\"parallel_branch_commits\":";
-  Out += std::to_string(R.Stats.ParallelBranchCommits);
   Out += ",\"output\":";
   json::appendQuoted(Out, R.Output);
   Out += '}';

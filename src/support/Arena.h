@@ -9,10 +9,10 @@
 /// chunk size tuned to the element (libstdc++'s deque uses 512-*byte*
 /// blocks — about three JSObjects per block — so allocation-heavy programs
 /// pay a malloc every third object). It is also *pooled*: `truncateTo`
-/// (speculation rollback) does not destroy elements, it parks them; the
-/// next allocation calls `T::reset()` on a parked element — which must
-/// restore every field to its freshly-constructed state — so the element's
-/// containers keep their buckets/capacity across counterfactual churn.
+/// does not destroy elements, it parks them; the next allocation calls
+/// `T::reset()` on a parked element — which must restore every field to
+/// its freshly-constructed state — so the element's containers keep their
+/// buckets/capacity.
 /// Observable state after reset is byte-equivalent to destroy+reconstruct
 /// (ShapeGen/SaveGen zero, empty maps), which is what the snapshot/journal
 /// byte-identity suites check.

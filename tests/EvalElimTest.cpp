@@ -20,6 +20,13 @@
 using namespace dda;
 using workloads::EvalBenchmark;
 
+namespace dda::workloads {
+// Without a printer gtest prints the parameter as raw bytes; the Name pointer
+// among them would put the load address into every test's name, making the
+// names differ from one build (and one run) to the next.
+void PrintTo(const EvalBenchmark &B, std::ostream *OS) { *OS << B.Name; }
+} // namespace dda::workloads
+
 namespace {
 
 class EvalSuiteTest : public ::testing::TestWithParam<EvalBenchmark> {};

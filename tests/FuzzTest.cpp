@@ -217,8 +217,9 @@ TEST_P(FuzzTest, TightBudgetsDegradeButStaySound) {
     ASSERT_TRUE(I.run()) << BC.Label << ": " << I.errorMessage()
                          << "\n--- source ---\n"
                          << Source;
-    if (I.trapKind() != TrapKind::None)
+    if (I.trapKind() != TrapKind::None) {
       EXPECT_TRUE(isResourceTrap(I.trapKind())) << BC.Label;
+    }
     expectDeterminateGlobalsSound(I, Source, BC.Label);
   }
 }

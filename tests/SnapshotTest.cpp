@@ -7,13 +7,11 @@
 /// write for vd/pd marking), executed sets, and exit codes, across every
 /// workload family (paper figures, miniquery, the eval suite's
 /// runtime-compiled overlays, generated fuzz programs), both expression
-/// engines, injected faults, seed fan-outs at jobs 1 and 8, and with
-/// intra-run branch parallelism on or off.
+/// engines, injected faults, and seed fan-outs at jobs 1 and 8.
 ///
-/// The snapshot-only counters (SnapshotForks, CowCopies,
-/// ParallelBranchTasks/Commits) are deliberately excluded from the
-/// fingerprint: they describe *how* undo was done, not what the analysis
-/// concluded, and legitimately differ between engines.
+/// The snapshot-only counters (SnapshotForks, CowCopies) are deliberately
+/// excluded from the fingerprint: they describe *how* undo was done, not
+/// what the analysis concluded, and legitimately differ between engines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +21,6 @@
 #include "parser/Parser.h"
 #include "serve/Protocol.h"
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 #include "workloads/ProgramGenerator.h"
 #include "workloads/Workloads.h"
 
@@ -145,57 +142,29 @@ TEST_P(SnapshotDifferentialTest, InjectedFaultAgreement) {
   }
 }
 
-/// Intra-run branch parallelism must be unobservable: same program, same
-/// seeds, pool on vs off — byte-identical merged results, both engines.
-TEST_P(SnapshotDifferentialTest, ParallelBranchesMatchSequential) {
-  const std::string &Source = GetParam().second;
-  ThreadPool Pool(4);
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    Program PSeq = parseOk(Source);
-    AnalysisResult Seq = runDeterminacyAnalysis(
-        PSeq, undoOptions(UndoEngine::Snapshot, Engine));
-
-    AnalysisOptions ParOpts = undoOptions(UndoEngine::Snapshot, Engine);
-    ParOpts.ParallelBranches = true;
-    ParOpts.BranchPool = &Pool;
-    Program PPar = parseOk(Source);
-    AnalysisResult Par = runDeterminacyAnalysis(PPar, ParOpts);
-
-    EXPECT_EQ(undoFingerprint(Seq), undoFingerprint(Par))
-        << "engine=" << execEngineName(Engine);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Corpus, SnapshotDifferentialTest, ::testing::ValuesIn(corpus()),
     [](const ::testing::TestParamInfo<std::pair<std::string, std::string>>
            &Info) { return Info.param.first; });
 
-/// The seed fan-out must be independent of undo engine, job count, and
-/// branch parallelism all at once: journal jobs=1 is the reference, and
-/// snapshot jobs=1/8 with and without a branch pool must all match it.
-TEST(SnapshotParallel, MergedFactsIndependentOfUndoJobsAndBranchPool) {
+/// The seed fan-out must be independent of undo engine and job count at
+/// once: journal jobs=1 is the reference, and snapshot jobs=1/8 must both
+/// match it.
+TEST(SnapshotParallel, MergedFactsIndependentOfUndoAndJobs) {
   const std::string Source = workloads::miniquery(3);
   std::vector<uint64_t> Seeds = {1, 2, 3, 4, 5, 6};
-  ThreadPool BranchPool(4);
 
-  auto Run = [&](UndoEngine Undo, unsigned Jobs, bool Branches) {
+  auto Run = [&](UndoEngine Undo, unsigned Jobs) {
     Program P = parseOk(Source);
     AnalysisOptions Opts = undoOptions(Undo, ExecEngine::Bytecode);
-    if (Branches) {
-      Opts.ParallelBranches = true;
-      Opts.BranchPool = &BranchPool;
-    }
     AnalysisResult R = runDeterminacyAnalysisParallel(P, Opts, Seeds, Jobs);
     EXPECT_TRUE(R.Ok) << R.Error;
     return undoFingerprint(R);
   };
 
-  std::string Reference = Run(UndoEngine::Journal, 1, false);
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 1, false));
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 8, false));
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 1, true));
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 8, true));
+  std::string Reference = Run(UndoEngine::Journal, 1);
+  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 1));
+  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 8));
 }
 
 /// Multi-class injected faults on a call-heavy program: the dedicated
@@ -227,10 +196,10 @@ TEST(SnapshotGovernor, InjectedFaultClassesMatchJournal) {
 }
 
 /// A deeply nested tower of indeterminate branches, each level shadowing
-/// the writes of the one above: the regression shape for snapshot-frame
-/// commit/restore ordering (a child frame's restore must not clobber the
-/// parent's older pre-images, and a committed child must hand its saves up
-/// so the parent still restores to the *outermost* pre-state).
+/// the writes of the one above: the regression shape for nested
+/// snapshot-frame restore ordering (a child frame's restore must not
+/// clobber the parent's older pre-images, so the parent still restores to
+/// the *outermost* pre-state).
 const char *kNestedBranches =
     "var a = 1; var b = 2; var c = 3; var d = 4;\n"
     "var o = {x: 1, y: {z: 2}};\n"
@@ -315,6 +284,15 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   EXPECT_GT(RFree.Stats.SnapshotForks, 0u);
   EXPECT_GT(RFree.Stats.CowCopies, 0u);
 
+  // The journal engine undoes the same branches by replay: it never forks
+  // a snapshot frame or copies a pre-image.
+  Program PJour = parseOk(Source);
+  AnalysisResult RJour = runDeterminacyAnalysis(
+      PJour, undoOptions(UndoEngine::Journal, ExecEngine::Bytecode));
+  ASSERT_TRUE(RJour.Ok) << RJour.Error;
+  EXPECT_EQ(RJour.Stats.SnapshotForks, 0u);
+  EXPECT_EQ(RJour.Stats.CowCopies, 0u);
+
   // Now a ceiling well under the free run's save count: the governor must
   // trip on the COW charges and degrade soundly.
   Program PTight = parseOk(Source);
@@ -325,48 +303,6 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   ASSERT_TRUE(RTight.Ok) << RTight.Error;
   EXPECT_EQ(RTight.Trap, TrapKind::HeapLimit);
   EXPECT_TRUE(RTight.Degradation.degraded());
-}
-
-/// The parallel path actually engages on an eligible branch shape — and
-/// every dispatched task is either committed or invisibly rolled back.
-TEST(ParallelBranchStats, EligibleBranchesDispatchAndCommit) {
-  std::string Source = "var x = 0; var y = 0; var i = 0;\n"
-                       "while (i < 8) {\n"
-                       "  if (Math.random() < 0.5) { x = x + 1; }\n"
-                       "  else { y = y + 1; }\n"
-                       "  i = i + 1;\n"
-                       "}\n"
-                       "print(x + y);\n";
-  ThreadPool Pool(2);
-  AnalysisOptions Opts = undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
-  Opts.ParallelBranches = true;
-  Opts.BranchPool = &Pool;
-  Program P = parseOk(Source);
-  AnalysisResult R = runDeterminacyAnalysis(P, Opts);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_GT(R.Stats.ParallelBranchTasks, 0u);
-  EXPECT_GT(R.Stats.ParallelBranchCommits, 0u);
-  EXPECT_LE(R.Stats.ParallelBranchCommits, R.Stats.ParallelBranchTasks);
-}
-
-/// Sanity on the flag plumbing: parallelism off (or no pool) must never
-/// dispatch, and the journal engine must never fork snapshots beyond the
-/// run-scoped base frames.
-TEST(ParallelBranchStats, DisabledModesNeverDispatch) {
-  const std::string Source = workloads::figure2();
-  Program PSeq = parseOk(Source);
-  AnalysisResult Seq = runDeterminacyAnalysis(
-      PSeq, undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode));
-  ASSERT_TRUE(Seq.Ok) << Seq.Error;
-  EXPECT_EQ(Seq.Stats.ParallelBranchTasks, 0u);
-  EXPECT_EQ(Seq.Stats.ParallelBranchCommits, 0u);
-
-  Program PJour = parseOk(Source);
-  AnalysisResult Jour = runDeterminacyAnalysis(
-      PJour, undoOptions(UndoEngine::Journal, ExecEngine::Bytecode));
-  ASSERT_TRUE(Jour.Ok) << Jour.Error;
-  EXPECT_EQ(Jour.Stats.SnapshotForks, 0u);
-  EXPECT_EQ(Jour.Stats.CowCopies, 0u);
 }
 
 } // namespace

@@ -35,7 +35,6 @@
 #include "specialize/Specializer.h"
 #include "support/FaultInjector.h"
 #include "support/ResourceGovernor.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <memory>
@@ -105,10 +104,6 @@ int usage() {
       "                     copy-on-write arena snapshots, O(1) fork) or\n"
       "                     journal (reverse-replay reference oracle);\n"
       "                     facts and fingerprints are identical for both\n"
-      "  --parallel-branches  analyze: explore the taken and counterfactual\n"
-      "                     sides of eligible indeterminate branches\n"
-      "                     concurrently (snapshot undo engine only;\n"
-      "                     merged facts stay byte-identical)\n"
       "  --detdom           assume determinate DOM (unsound; paper 5.1)\n"
       "\n"
       "incremental re-analysis (analyze/specialize/deadcode and serve):\n"
@@ -162,10 +157,6 @@ struct Options {
   unsigned Jobs = 1;              ///< --jobs: 0 = one per hardware thread.
   ExecEngine Engine = defaultExecEngine();
   UndoEngine Undo = UndoEngine::Snapshot;
-  bool ParallelBranches = false;
-  /// Dedicated pool for intra-run branch parallelism (never the seed-level
-  /// pool; see AnalysisOptions::BranchPool). Created lazily on first use.
-  std::unique_ptr<ThreadPool> BranchPool;
   bool DetDom = false;
   uint64_t MaxSteps = 50'000'000;
   uint64_t DeadlineMs = 0;
@@ -280,8 +271,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "ddajs: --undo expects 'snapshot' or 'journal'\n");
         return false;
       }
-    } else if (Arg == "--parallel-branches") {
-      Opts.ParallelBranches = true;
     } else if (Arg == "--fact-store") {
       const char *V = Next();
       if (!V)
@@ -456,12 +445,6 @@ AnalysisOptions analysisOptions(Options &Opts) {
   AOpts.CounterfactualFuel = Opts.CfFuel;
   AOpts.Injector = Opts.Injector ? &*Opts.Injector : nullptr;
   AOpts.Undo = Opts.Undo;
-  if (Opts.ParallelBranches && Opts.Undo == UndoEngine::Snapshot) {
-    if (!Opts.BranchPool)
-      Opts.BranchPool = std::make_unique<ThreadPool>(0);
-    AOpts.ParallelBranches = true;
-    AOpts.BranchPool = Opts.BranchPool.get();
-  }
   if (Opts.Store) {
     AOpts.Incremental = Opts.Incremental;
     AOpts.Store = Opts.Store.get();
