@@ -12,8 +12,6 @@
 ///       * journal mark-walk  — 12-byte slim entries + SoA pre-image side
 ///                              arrays vs the seed's ~sizeof(Binding)+
 ///                              sizeof(Slot) fat record vector;
-///       * heap churn         — pooled ChunkedArena<JSObject> push/truncate
-///                              vs the seed's std::deque emplace/resize;
 ///       * executed-stmt set  — NodeBitSet insert + ordered iteration vs
 ///                              std::unordered_set + copy-and-sort.
 ///
@@ -37,7 +35,6 @@
 #include "determinacy/InstrumentedInterpreter.h"
 #include "determinacy/Journal.h"
 #include "parser/Parser.h"
-#include "support/Arena.h"
 #include "support/BitSet.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
@@ -48,7 +45,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -186,51 +182,7 @@ uint64_t fatJournalRun(size_t N, int Walks) {
   return Sum;
 }
 
-// --- 1c. Heap churn: pooled arena vs the seed's deque ---------------------
-
-/// One branch-shaped churn round: allocate \p Cells objects past a stable
-/// base, then truncate back — the allocate/undo pattern counterfactual
-/// branches execute. The arena parks and reuses the cells (reset());
-/// the deque destroys and reconstructs them, re-allocating each JSObject's
-/// Props map nodes every round.
-uint64_t arenaChurn(size_t Cells, int Rounds) {
-  ChunkedArena<JSObject> A;
-  A.push(); // Stable base, as Heap reserves ref 0.
-  size_t Base = A.size();
-  uint64_t Sum = 0;
-  for (int R = 0; R < Rounds; ++R) {
-    for (size_t I = 0; I < Cells; ++I) {
-      JSObject &O = A.push();
-      O.Class = ObjectClass::Plain;
-      O.AllocSite = static_cast<uint32_t>(I);
-      O.MaybeAbsent.push_back(StringId(static_cast<uint32_t>(I & 63)));
-    }
-    Sum += A.size();
-    A.truncateTo(Base);
-  }
-  return Sum;
-}
-
-uint64_t dequeChurn(size_t Cells, int Rounds) {
-  std::deque<JSObject> D;
-  D.emplace_back();
-  size_t Base = D.size();
-  uint64_t Sum = 0;
-  for (int R = 0; R < Rounds; ++R) {
-    for (size_t I = 0; I < Cells; ++I) {
-      D.emplace_back();
-      JSObject &O = D.back();
-      O.Class = ObjectClass::Plain;
-      O.AllocSite = static_cast<uint32_t>(I);
-      O.MaybeAbsent.push_back(StringId(static_cast<uint32_t>(I & 63)));
-    }
-    Sum += D.size();
-    D.resize(Base);
-  }
-  return Sum;
-}
-
-// --- 1d. Executed-statement set: bitset vs hash-set + sort ----------------
+// --- 1c. Executed-statement set: bitset vs hash-set + sort ----------------
 
 /// The executed-stmt pattern: each of \p Stmts ids inserted \p Revisits
 /// times (loops re-execute their body statements), then one sorted
@@ -474,20 +426,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     Micro.push_back({"journal_mark_walk", Fat, Slim});
-  }
-  {
-    size_t Cells = 512;
-    int Rounds = 2000 / MicroScale;
-    uint64_t SinkA = 0, SinkB = 0;
-    double Arena =
-        bestOf(Samples, [&] { SinkA += arenaChurn(Cells, Rounds); });
-    double Deque =
-        bestOf(Samples, [&] { SinkB += dequeChurn(Cells, Rounds); });
-    if (SinkA != SinkB) {
-      std::fprintf(stderr, "FAIL: churn counts disagree\n");
-      return 1;
-    }
-    Micro.push_back({"heap_churn", Deque, Arena});
   }
   {
     uint32_t Stmts = 4096;

@@ -25,10 +25,12 @@ Heap buildHeap(size_t Objects, size_t Props) {
   Heap H;
   for (size_t I = 0; I < Objects; ++I) {
     ObjectRef O = H.allocate(ObjectClass::Plain);
-    for (size_t J = 0; J < Props; ++J)
-      H.get(O).set(intern("p" + std::to_string(J)),
-                   Slot{Value::number(static_cast<double>(J)),
-                        Det::Determinate, 0});
+    for (size_t J = 0; J < Props; ++J) {
+      std::string Name = "p";
+      Name += std::to_string(J);
+      H.get(O).set(intern(Name), Slot{Value::number(static_cast<double>(J)),
+                                      Det::Determinate, 0});
+    }
   }
   return H;
 }

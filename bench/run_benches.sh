@@ -99,18 +99,6 @@ for NAME in bench_multiseed bench_table1; do
   PARALLEL_FRAGS+=("$FRAG")
 done
 
-# Engine comparison: tree-walk vs bytecode VM over both dispatch modes.
-# Verifies observational identity (facts, output, thread-count-independent
-# merge) before timing, then writes its own report.
-BIN="$BUILD_DIR/bench/bench_bytecode"
-if [ -x "$BIN" ]; then
-  OUT="$OUT_DIR/BENCH_bytecode.json"
-  echo "== bench_bytecode -> $OUT"
-  "$BIN" --json "$OUT" ${QUICK_ARGS[@]+"${QUICK_ARGS[@]}"} >/dev/null
-else
-  echo "skip: bench_bytecode (not built)" >&2
-fi
-
 # Undo-engine comparison: COW snapshot vs journal branch undo. Verifies
 # byte-identity first, then reports isolated undo cost (flat and deeply
 # nested write-sets) and end-to-end analyses incl. intra-run parallel

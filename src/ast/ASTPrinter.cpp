@@ -101,8 +101,12 @@ std::string Printer::exprNoParens(const Expr *E) {
   switch (E->getKind()) {
   case NodeKind::NumberLiteral:
     return numberToString(cast<NumberLiteral>(E)->getValue());
-  case NodeKind::StringLiteral:
-    return "\"" + escapeString(cast<StringLiteral>(E)->getValue()) + "\"";
+  case NodeKind::StringLiteral: {
+    std::string Out = "\"";
+    Out += escapeString(cast<StringLiteral>(E)->getValue());
+    Out += '"';
+    return Out;
+  }
   case NodeKind::BooleanLiteral:
     return cast<BooleanLiteral>(E)->getValue() ? "true" : "false";
   case NodeKind::NullLiteral:
@@ -131,8 +135,11 @@ std::string Printer::exprNoParens(const Expr *E) {
         Out += ", ";
       if (isIdentifier(Props[I].Key))
         Out += Props[I].Key;
-      else
-        Out += "\"" + escapeString(Props[I].Key) + "\"";
+      else {
+        Out += '"';
+        Out += escapeString(Props[I].Key);
+        Out += '"';
+      }
       Out += ": ";
       Out += expr(Props[I].Value, PrecAssign);
     }

@@ -46,8 +46,10 @@ std::string ContextTable::str(ContextID ID) const {
     if (I)
       Out += "\xe2\x86\x92"; // "→"
     Out += std::to_string(Chain[I]->Line);
-    if (Chain[I]->Occurrence != 0)
-      Out += "_" + std::to_string(Chain[I]->Occurrence);
+    if (Chain[I]->Occurrence != 0) {
+      Out += '_';
+      Out += std::to_string(Chain[I]->Occurrence);
+    }
   }
   return Out;
 }

@@ -22,7 +22,6 @@
 #define DDA_DETERMINACY_DETERMINACY_H
 
 #include "ast/ASTContext.h"
-#include "bytecode/Bytecode.h"
 #include "determinacy/Context.h"
 #include "determinacy/Facts.h"
 #include "support/BitSet.h"
@@ -47,6 +46,11 @@ enum class IncrementalMode : uint8_t {
   Strict,
 };
 
+/// The expression engine. The tree-walk is the only one; the type and
+/// AnalysisOptions::Engine remain for callers that still pass the field to
+/// serve::analysisPayloadJson.
+enum class ExecEngine : uint8_t { TreeWalk };
+
 /// How the instrumented interpreter undoes the writes of a counterfactual
 /// branch (paper rule ĈNTR).
 enum class UndoEngine : uint8_t {
@@ -66,9 +70,7 @@ enum class UndoEngine : uint8_t {
 struct AnalysisOptions {
   uint64_t RandomSeed = 1; ///< Concrete seed for Math.random.
   uint64_t DomSeed = 1;    ///< Concrete seed for synthetic DOM content.
-  /// Expression execution engine; the bytecode VM is the default hot path,
-  /// the tree-walk is the reference semantics (`--engine=tree`).
-  ExecEngine Engine = defaultExecEngine();
+  ExecEngine Engine = ExecEngine::TreeWalk; ///< The only value; see ExecEngine.
   uint64_t MaxSteps = 50'000'000;
   uint64_t DeadlineMs = 0;   ///< Wall-clock budget for the run; 0 = none.
   uint64_t MaxHeapCells = 0; ///< Heap-cell budget; 0 = unlimited.

@@ -115,8 +115,12 @@ std::string FactValue::str() const {
     return B ? "true" : "false";
   case Number:
     return numberToString(Num);
-  case String:
-    return "\"" + escapeString(Interner::global().str(Str)) + "\"";
+  case String: {
+    std::string Out = "\"";
+    Out += escapeString(Interner::global().str(Str));
+    Out += '"';
+    return Out;
+  }
   case Function:
     return "function@" + std::to_string(Node);
   case Native:
@@ -192,12 +196,19 @@ std::string FactDB::dump(const ContextTable &Contexts) const {
   });
   std::string Out;
   for (const auto *Entry : Sorted) {
-    Out += "[" + std::string(factKindName(Entry->first.Kind)) + "] node" +
-           std::to_string(Entry->first.Node);
-    if (Entry->first.Kind == FactKind::CallArg)
-      Out += "#" + std::to_string(Entry->first.Index);
-    Out += " @ " + Contexts.str(Entry->first.Ctx) + " = " +
-           Entry->second.str() + "\n";
+    Out += '[';
+    Out += factKindName(Entry->first.Kind);
+    Out += "] node";
+    Out += std::to_string(Entry->first.Node);
+    if (Entry->first.Kind == FactKind::CallArg) {
+      Out += '#';
+      Out += std::to_string(Entry->first.Index);
+    }
+    Out += " @ ";
+    Out += Contexts.str(Entry->first.Ctx);
+    Out += " = ";
+    Out += Entry->second.str();
+    Out += '\n';
   }
   return Out;
 }

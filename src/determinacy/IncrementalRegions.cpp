@@ -43,9 +43,8 @@ using namespace dda;
 uint64_t dda::optionVectorFingerprint(const AnalysisOptions &Opts,
                                       std::string_view InjectorSpec) {
   ByteWriter W;
-  W.u32(2); // fingerprint schema version
+  W.u32(3); // fingerprint schema version
   W.u64(Opts.DomSeed);
-  W.u8(static_cast<uint8_t>(Opts.Engine));
   W.u64(Opts.MaxSteps);
   W.u64(Opts.DeadlineMs);
   W.u64(Opts.MaxHeapCells);
@@ -794,16 +793,13 @@ bool InstrumentedInterpreter::applyRegionDelta(const std::string &Delta) {
 
   for (const ObjImage &Im : D.Touched) {
     // Mimic restoreSnapshot's discipline: pre-image the object into the
-    // base COW frame, replace it wholesale, keep the save stamp, and give
-    // it a fresh shape generation so VM inline caches revalidate.
+    // base COW frame, replace it wholesale, and keep the save stamp.
     heapBarrier(Im.Ref);
     JSObject &Live = TheHeap.get(Im.Ref);
-    uint32_t FreshShape = Live.ShapeGen + 1;
     uint32_t KeepSave = Live.SaveGen;
     JSObject N;
     buildObject(Im, IncFnIndex, N);
     Live = std::move(N);
-    Live.ShapeGen = FreshShape;
     Live.SaveGen = KeepSave;
   }
   for (const ObjImage &Im : D.Fresh) {
@@ -832,8 +828,6 @@ bool InstrumentedInterpreter::applyRegionDelta(const std::string &Delta) {
     for (const auto &[Name, B] : Im.Vars)
       E.Vars.emplace(Name, B);
   }
-  if (!D.TouchedEnvs.empty())
-    Envs.noteShapeChange(); // Wholesale Vars replacement, like a restore.
 
   for (const ContextEntry &E : D.Ctxs)
     Contexts.intern(E.Parent, E.Site, E.Occurrence, E.Line);

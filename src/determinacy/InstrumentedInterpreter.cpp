@@ -214,8 +214,6 @@ InstrumentedInterpreter::InstrumentedInterpreter(Program &P,
     Envs.beginSnapshot(/*Charged=*/false);
     SnapMarks.push_back(0);
   }
-  if (Opts.Engine == ExecEngine::Bytecode)
-    BC = std::make_unique<bc::Module>();
 }
 
 InstrumentedInterpreter::~InstrumentedInterpreter() = default;
@@ -448,27 +446,9 @@ void InstrumentedInterpreter::declareVar(EnvRef Env, StringId Name,
 
 void InstrumentedInterpreter::setVar(StringId Name, TaggedValue TV) {
   EnvRef E = Envs.lookupEnv(CurrentEnv, Name);
-  if (!E) {
+  if (!E)
     E = GlobalEnv; // Sloppy-mode global creation.
-    Envs.noteShapeChange(); // New binding in a pre-existing scope.
-  }
   declareVar(E, Name, std::move(TV));
-}
-
-void InstrumentedInterpreter::storeVarCached(EnvRef Env, Binding &B,
-                                             StringId Name, TaggedValue TV) {
-  // Overwrite of a binding already resolved (by a valid inline cache or a
-  // fresh lookup): journals and writes exactly like declareVar's
-  // existing-binding path, minus the re-find.
-  envBarrier(Env); // Frame copy only; &B points into the live map, still valid.
-  JournalEntry JE;
-  JE.K = JournalEntry::VarWrite;
-  JE.Env = Env;
-  JE.Name = Name;
-  JE.Existed = true;
-  J.push(JE, B);
-  ++Stats.JournalEntries;
-  B = Binding{std::move(TV.V), taintAdjust(TV.D)};
 }
 
 void InstrumentedInterpreter::weakenVar(EnvRef Env, StringId Name) {
@@ -700,14 +680,10 @@ void InstrumentedInterpreter::undoSince(Journal::Mark M) {
     switch (E.K) {
     case JournalEntry::VarWrite: {
       Environment &Env = Envs.get(E.Env);
-      if (E.Existed) {
-        // In-place restore: the map node (and any cached Binding*) survives.
+      if (E.Existed)
         Env.Vars[E.Name] = J.bindingPre(--BI);
-      } else {
-        // Erasing invalidates Binding pointers; revalidate variable caches.
-        Envs.noteShapeChange();
+      else
         Env.Vars.erase(E.Name);
-      }
       break;
     }
     case JournalEntry::PropWrite: {
@@ -1027,12 +1003,7 @@ void InstrumentedInterpreter::hoistStmt(const Stmt *S, EnvRef Env) {
 }
 
 void InstrumentedInterpreter::hoist(const std::vector<Stmt *> &Body,
-                                    EnvRef Env, bool FreshEnv) {
-  // Hoisting into a pre-existing scope (toplevel, eval) can add bindings
-  // that shadow outer ones along already-cached resolution chains; a fresh
-  // activation scope cannot, so it skips the cache-invalidating bump.
-  if (!FreshEnv)
-    Envs.noteShapeChange();
+                                    EnvRef Env) {
   for (const Stmt *S : Body)
     hoistStmt(S, Env);
 }
@@ -1539,9 +1510,7 @@ IComp InstrumentedInterpreter::execForIn(const ForInStmt *F) {
 //===----------------------------------------------------------------------===//
 
 IRes InstrumentedInterpreter::readProperty(const TaggedValue &Base,
-                                           StringId Name, Det NameDet,
-                                           const Slot *OwnHint,
-                                           const Slot **OwnOut) {
+                                           StringId Name, Det NameDet) {
   Det DIn = meet(Base.D, NameDet);
   switch (Base.V.Kind) {
   case ValueKind::Undefined:
@@ -1573,22 +1542,15 @@ IRes InstrumentedInterpreter::readProperty(const TaggedValue &Base,
   case ValueKind::Object: {
     ObjectRef O = Base.V.Obj;
     Det MissDet = Det::Determinate;
-    // A valid inline-cache hint skips the own-property hash probe only; all
-    // determinacy logic below (slot epoch, DOM rule) is re-evaluated.
-    const Slot *Hint = OwnHint;
     while (O) {
       const JSObject &Obj = TheHeap.get(O);
-      const Slot *S = Hint ? Hint : Obj.get(Name);
-      Hint = nullptr;
-      if (S) {
+      if (const Slot *S = Obj.get(Name)) {
         Det D = meet(DIn, meet(MissDet, slotDet(*S)));
         // Paper Section 4: any value read from a DOM data structure is
         // indeterminate (native members exempt so DOM *methods* resolve).
         if (Obj.Class == ObjectClass::Dom && !(S->V.isObject() &&
             TheHeap.get(S->V.Obj).Class == ObjectClass::Native))
           D = meet(D, domDet());
-        if (OwnOut && O == Base.V.Obj)
-          *OwnOut = S;
         return IRes::value(TaggedValue(S->V, D));
       }
       if (Obj.Class == ObjectClass::Dom && O == Base.V.Obj) {
@@ -1693,12 +1655,6 @@ IRes InstrumentedInterpreter::evalBranchExpr(const TaggedValue &CondV,
 }
 
 IRes InstrumentedInterpreter::evalExpr(const Expr *E) {
-  // Tiered: cold roots tree-walk (identical semantics), hot roots run their
-  // compiled chunk — one-shot code never pays compilation.
-  if (BC) {
-    if (const bc::Chunk *Ch = BC->lookupHot(E->getID(), E))
-      return vmRun(*Ch, 0, static_cast<uint32_t>(Ch->Code.size()));
-  }
   IComp Tick;
   if (!tick(Tick))
     return IRes::abruptly(Tick);
@@ -2167,7 +2123,7 @@ IRes InstrumentedInterpreter::callClosure(ObjectRef FnObj, Det CalleeDet,
     declareVar(CallEnv, Params[I], std::move(V));
   }
   const auto *Body = cast<BlockStmt>(Fn->getBody());
-  hoist(Body->getBody(), CallEnv, /*FreshEnv=*/true);
+  hoist(Body->getBody(), CallEnv);
 
   EnvRef SavedEnv = CurrentEnv;
   CurrentEnv = CallEnv;
@@ -2296,7 +2252,7 @@ IRes InstrumentedInterpreter::evalEval(NodeID Site,
     C.IndetControl = Arg.D == Det::Indeterminate;
     return IRes::abruptly(C);
   }
-  hoist(Body, CurrentEnv, /*FreshEnv=*/false);
+  hoist(Body, CurrentEnv);
 
   TaggedValue Saved = LastStmtValue;
   LastStmtValue = TaggedValue();
@@ -2357,7 +2313,7 @@ bool InstrumentedInterpreter::run() {
   Gov.startClock();
   CurrentEnv = GlobalEnv;
   Frames.back().ThisV = TaggedValue(Value::object(WindowObj));
-  hoist(Prog.Body, GlobalEnv, /*FreshEnv=*/false);
+  hoist(Prog.Body, GlobalEnv);
   IComp C = incrementalActive() ? execProgramBody() : execBlockBody(Prog.Body);
   Stats.StepsUsed = Gov.stepsUsed();
   if (C.K == IComp::Throw) {

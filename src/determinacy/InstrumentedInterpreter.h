@@ -34,7 +34,6 @@
 #include "support/FlatMap.h"
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -156,10 +155,6 @@ private:
   // --- Journaled state mutation -------------------------------------------
   /// Resolves and writes a variable (creating a global when undeclared).
   void setVar(StringId Name, TaggedValue TV);
-  /// Overwrites a binding already resolved to (\p Env, \p B) — the bytecode
-  /// VM's variable-cache fast path. Journals like declareVar's
-  /// existing-binding case without re-finding the map node.
-  void storeVarCached(EnvRef Env, Binding &B, StringId Name, TaggedValue TV);
   /// Declares/overwrites a binding in a specific environment.
   void declareVar(EnvRef Env, StringId Name, TaggedValue TV);
   /// Marks an existing binding indeterminate (journaled).
@@ -289,10 +284,7 @@ private:
                  const Expr *Update, bool CondFirst);
   IComp execForIn(const ForInStmt *F);
   IComp execSwitch(const SwitchStmt *Sw);
-  /// \p FreshEnv: hoisting into an environment allocated for this activation
-  /// (call scope); pre-existing targets (toplevel, eval) bump the env arena's
-  /// shape generation so variable inline caches revalidate.
-  void hoist(const std::vector<Stmt *> &Body, EnvRef Env, bool FreshEnv);
+  void hoist(const std::vector<Stmt *> &Body, EnvRef Env);
   void hoistStmt(const Stmt *S, EnvRef Env);
 
   // --- Expressions -----------------------------------------------------------
@@ -305,17 +297,6 @@ private:
   IRes evalEval(NodeID Site, const std::vector<TaggedValue> &Args,
                 ContextID ChildCtx);
 
-  // Bytecode engine (VMInstrumented.cpp). evalExpr forwards to vmEval when
-  // the chunk cache is live; statements, counterfactual machinery, journal
-  // and fact recording stay shared with the tree-walk.
-  IRes vmEval(const Expr *E);
-  IRes vmRun(const bc::Chunk &Ch, uint32_t From, uint32_t To);
-  /// The VM's evalBranchExpr: the taken/untaken operands are code ranges of
-  /// \p Ch instead of subtrees; \p UntakenVd indexes Ch.VdLists.
-  IRes vmBranchExpr(const bc::Chunk &Ch, const TaggedValue &CondV,
-                    bool HasTaken, uint32_t TFrom, uint32_t TTo,
-                    bool HasUntaken, uint32_t UFrom, uint32_t UTo,
-                    uint32_t UntakenVd);
   /// Expression-level conditional branches (?:, &&, ||) follow the same
   /// indeterminate-condition discipline as if statements: with an
   /// indeterminate condition, the untaken side is counterfactually evaluated
@@ -325,12 +306,7 @@ private:
                       const Expr *Untaken);
 
   // --- Helpers ----------------------------------------------------------------
-  /// \p OwnHint: a still-valid cached own slot of the base object (skips the
-  /// hash probe; every determinacy rule still runs). \p OwnOut receives the
-  /// own slot when the read resolved to one, for the VM to cache.
-  IRes readProperty(const TaggedValue &Base, StringId Name, Det NameDet,
-                    const Slot *OwnHint = nullptr,
-                    const Slot **OwnOut = nullptr);
+  IRes readProperty(const TaggedValue &Base, StringId Name, Det NameDet);
   IComp setPropertyTagged(const TaggedValue &Base, StringId Name,
                           Det NameDet, TaggedValue V);
   IRes callValueTagged(const TaggedValue &Callee, const TaggedValue &ThisV,
@@ -366,8 +342,8 @@ private:
     if (IncCapturing)
       IncCalls.push_back(N);
   }
-  /// Per-step governor checkpoint; defined inline because the dispatch
-  /// loops call it once per AST node / instruction.
+  /// Per-step governor checkpoint; defined inline because it runs once per
+  /// AST node.
   bool tick(IComp &C) {
     if (Gov.tickStep())
       return true;
@@ -470,20 +446,6 @@ private:
   std::vector<StringId> IncPreDomKeys;
   /// Top-frame SiteCounts when the capture began (changed-entry diff base).
   SiteCountMap IncPreSiteCounts;
-
-  /// Chunk cache; non-null iff Opts.Engine == ExecEngine::Bytecode.
-  std::unique_ptr<bc::Module> BC;
-  /// Operand stack shared by all (re-entrant) dispatch-loop activations;
-  /// each activation works relative to its entry height.
-  std::vector<TaggedValue> VStack;
-  /// Branch-join scratch for flattened determinate branches: when IP hits
-  /// Join, record the branch instruction's completing fact (top of stack is
-  /// the branch's value) and resume at Resume. Shared like VStack; strictly
-  /// LIFO within an activation.
-  struct VMJoin {
-    uint32_t Join, Resume, Instr;
-  };
-  std::vector<VMJoin> JStack;
 };
 
 /// Syntactic vd(s): names assigned anywhere in \p S, not descending into

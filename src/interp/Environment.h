@@ -3,7 +3,7 @@
 /// \file
 /// Environments form the lexical scope chain. Like the heap, slots carry a
 /// determinacy flag used only by the instrumented interpreter. Environments
-/// live in an arena (deque for reference stability) and are referenced by
+/// live in a chunked arena (for reference stability) and are referenced by
 /// EnvRef; closures capture an EnvRef. Bindings are keyed on interned atoms,
 /// so a variable lookup hashes a 32-bit id instead of the name's characters.
 ///
@@ -40,14 +40,6 @@ struct Environment {
   /// Copy-on-write stamp; see EnvArena::ensureSaved (mirrors
   /// JSObject::SaveGen).
   uint32_t SaveGen = 0;
-
-  /// Freshly-constructed state in place (ChunkedArena pool reuse); the
-  /// binding map keeps its buckets. Mirrors JSObject::reset.
-  void reset() {
-    Parent = 0;
-    Vars.clear();
-    SaveGen = 0;
-  }
 };
 
 /// Arena of environments. Reference 0 is invalid; reference 1 is created by
@@ -93,22 +85,6 @@ public:
 
   size_t size() const { return Envs.size() - 1; }
 
-  /// Arena-wide binding-set generation; see noteShapeChange().
-  uint32_t shapeGen() const { return ShapeG; }
-
-  /// Records a change to some environment's binding *set* that could affect
-  /// name resolution through pre-existing scope chains: an insert into an
-  /// environment that already had lookups routed through it (sloppy-mode
-  /// global creation, eval hoisting into the caller's scope) or any binding
-  /// erase (counterfactual journal undo). The bytecode VMs' variable inline
-  /// caches key cached Binding pointers on (start EnvRef, shapeGen) and
-  /// refill on mismatch. Inserts into freshly allocated environments
-  /// (call/catch/function-wrapper scopes) need no bump: a fresh environment
-  /// cannot appear on any chain an existing cache entry resolved through, and
-  /// unordered_map node stability keeps Binding pointers valid across
-  /// unrelated inserts.
-  void noteShapeChange() { ++ShapeG; }
-
   /// Iterates every environment (conservative whole-environment taint).
   template <typename Fn> void forEach(Fn F) {
     for (size_t I = 1; I < Envs.size(); ++I)
@@ -139,19 +115,13 @@ public:
       Gov->noteCowSave();
   }
 
-  /// Restores pre-images in reverse save order. Any restore replaces a
-  /// binding map wholesale (erases included), so the arena-wide shape
-  /// generation is bumped once when anything was restored — the same
-  /// invalidation a journal undo's erases would have produced.
+  /// Restores pre-images in reverse save order.
   void restoreSnapshot() {
     assert(!Snapshots.empty() && "no snapshot frame to restore");
     SnapshotFrame &F = Snapshots.back();
-    bool Any = !F.Saved.empty();
     for (auto It = F.Saved.rbegin(); It != F.Saved.rend(); ++It)
       Envs[It->first] = std::move(It->second);
     Snapshots.pop_back();
-    if (Any)
-      noteShapeChange();
   }
 
   size_t snapshotDepth() const { return Snapshots.size(); }
@@ -167,7 +137,6 @@ private:
   // Chunked arena (was std::deque): same reference stability, chunk size
   // tuned to the element.
   ChunkedArena<Environment> Envs;
-  uint32_t ShapeG = 1;
   ResourceGovernor *Gov = nullptr;
   std::vector<SnapshotFrame> Snapshots;
   uint32_t SnapGen = 0;

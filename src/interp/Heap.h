@@ -116,14 +116,6 @@ public:
   void eraseMaybeAbsent(StringId Name) { sortedErase(MaybeAbsent, Name); }
   void eraseMaybePresent(StringId Name) { sortedErase(MaybePresent, Name); }
 
-  /// Bumped whenever the own-property *set* changes (insert or erase).
-  /// The bytecode VMs' inline caches key cached Slot pointers on
-  /// (ObjectRef, ShapeGen): value overwrites keep the generation because
-  /// unordered_map nodes are stable under everything but erase of the node
-  /// itself, so a matching generation proves the pointer is still live and
-  /// still the closest (own) slot for its name.
-  uint32_t ShapeGen = 0;
-
   /// Generation of the innermost snapshot frame that already holds a
   /// pre-image of this object (copy-on-write stamp); 0 = never saved. See
   /// Heap::ensureSaved.
@@ -144,19 +136,12 @@ public:
   }
 
   /// Creates or overwrites the slot for \p Name, maintaining insertion order.
-  /// Returns the stored slot (stable address until the property is erased);
-  /// \p Inserted reports whether the property was newly created.
-  Slot *set(StringId Name, Slot S, bool *InsertedOut = nullptr) {
+  void set(StringId Name, Slot S) {
     auto [It, Inserted] = Props.try_emplace(Name, S);
-    if (Inserted) {
+    if (Inserted)
       Order.push_back(Name);
-      ++ShapeGen;
-    } else {
+    else
       It->second = S;
-    }
-    if (InsertedOut)
-      *InsertedOut = Inserted;
-    return &It->second;
   }
 
   /// Removes a property; returns true if it existed. The insertion-order
@@ -168,7 +153,6 @@ public:
       return false;
     Props.erase(It);
     Order.erase(std::find(Order.begin(), Order.end(), Name));
-    ++ShapeGen;
     return true;
   }
 
@@ -184,28 +168,6 @@ public:
   /// Iteration support for analyses that need every slot.
   const std::unordered_map<StringId, Slot> &slots() const { return Props; }
   std::unordered_map<StringId, Slot> &slots() { return Props; }
-
-  /// Restores the freshly-constructed state in place (ChunkedArena pool
-  /// reuse after truncateTo). Observable state must be
-  /// byte-equivalent to destroy+reconstruct — ShapeGen/SaveGen return to
-  /// zero exactly as a new object's would — while the containers keep
-  /// their allocated capacity.
-  void reset() {
-    Class = ObjectClass::Plain;
-    Proto = 0;
-    Fn = nullptr;
-    Closure = 0;
-    Native = NativeFn{};
-    AllocSite = 0;
-    ClosedEpoch = 0;
-    ExplicitlyOpen = false;
-    MaybeAbsent.clear();
-    MaybePresent.clear();
-    ShapeGen = 0;
-    SaveGen = 0;
-    Props.clear();
-    Order.clear();
-  }
 
 private:
   static bool sortedInsert(SmallVec<StringId, 4> &Set, StringId Name) {
@@ -309,19 +271,12 @@ public:
   }
 
   /// Undoes every write made since the innermost frame opened by assigning
-  /// the pre-images back in reverse save order. Each restored object gets a
-  /// ShapeGen strictly
-  /// above its live value: assignment replaces the property map wholesale,
-  /// so any inline-cache pointer into the old nodes must be invalidated.
+  /// the pre-images back in reverse save order.
   void restoreSnapshot() {
     assert(!Snapshots.empty() && "no snapshot frame to restore");
     SnapshotFrame &F = Snapshots.back();
-    for (auto It = F.Saved.rbegin(); It != F.Saved.rend(); ++It) {
-      JSObject &Live = Objects[It->first];
-      uint32_t FreshShape = Live.ShapeGen + 1;
-      Live = std::move(It->second);
-      Live.ShapeGen = FreshShape;
-    }
+    for (auto It = F.Saved.rbegin(); It != F.Saved.rend(); ++It)
+      Objects[It->first] = std::move(It->second);
     Snapshots.pop_back();
   }
 

@@ -20,8 +20,6 @@ Interpreter::Interpreter(Program &P, InterpOptions Options)
   installGlobals();
   // Builtin setup above is free; only program-driven allocations count.
   TheHeap.setGovernor(&Gov);
-  if (Opts.Engine == ExecEngine::Bytecode)
-    BC = std::make_unique<bc::Module>();
 }
 
 Interpreter::~Interpreter() = default;
@@ -235,7 +233,7 @@ bool Interpreter::run() {
   Gov.startClock();
   CurrentEnv = GlobalEnv;
   CurrentThis = Value::object(WindowObj);
-  hoist(Prog.Body, GlobalEnv, /*FreshEnv=*/false);
+  hoist(Prog.Body, GlobalEnv);
   Completion C = execBlockBody(Prog.Body);
   if (C.K == Completion::Throw) {
     Error = "uncaught exception: " + toStringValue(C.V, TheHeap);
@@ -416,13 +414,7 @@ void Interpreter::hoistStmt(const Stmt *S, EnvRef Env) {
   }
 }
 
-void Interpreter::hoist(const std::vector<Stmt *> &Body, EnvRef Env,
-                        bool FreshEnv) {
-  // Hoisting into a pre-existing scope (toplevel, eval) can add bindings
-  // that shadow outer ones along already-cached resolution chains; a fresh
-  // activation scope cannot, so it skips the cache-invalidating bump.
-  if (!FreshEnv)
-    Envs.noteShapeChange();
+void Interpreter::hoist(const std::vector<Stmt *> &Body, EnvRef Env) {
   for (const Stmt *S : Body)
     hoistStmt(S, Env);
 }
@@ -464,10 +456,8 @@ Completion Interpreter::execStmt(const Stmt *S) {
       Binding *B = Envs.lookup(CurrentEnv, D.Atom);
       if (B)
         B->V = R.V;
-      else {
-        Envs.noteShapeChange(); // New binding in a pre-existing scope.
+      else
         Envs.get(GlobalEnv).Vars[D.Atom] = Binding{R.V, Det::Determinate};
-      }
     }
     return Completion::normal();
   }
@@ -568,11 +558,9 @@ Completion Interpreter::execStmt(const Stmt *S) {
       Binding *B = Envs.lookup(CurrentEnv, F->getVarAtom());
       if (B)
         B->V = Value::atom(Key);
-      else {
-        Envs.noteShapeChange(); // New binding in a pre-existing scope.
+      else
         Envs.get(GlobalEnv).Vars[F->getVarAtom()] =
             Binding{Value::atom(Key), Det::Determinate};
-      }
       Completion C = execStmt(F->getBody());
       if (C.K == Completion::Break)
         return Completion::normal();
@@ -671,8 +659,7 @@ StringId Interpreter::propertyKey(const Value &V) {
   return toStringAtom(V, TheHeap);
 }
 
-EvalResult Interpreter::getProperty(const Value &Base, StringId Name,
-                                    Slot **OwnOut) {
+EvalResult Interpreter::getProperty(const Value &Base, StringId Name) {
   switch (Base.Kind) {
   case ValueKind::Undefined:
   case ValueKind::Null:
@@ -699,11 +686,8 @@ EvalResult Interpreter::getProperty(const Value &Base, StringId Name,
     ObjectRef O = Base.Obj;
     while (O) {
       JSObject &Obj = TheHeap.get(O);
-      if (Slot *S = Obj.get(Name)) {
-        if (OwnOut && O == Base.Obj)
-          *OwnOut = S;
+      if (const Slot *S = Obj.get(Name))
         return EvalResult::value(S->V);
-      }
       if (Obj.Class == ObjectClass::Dom && O == Base.Obj) {
         // Unwritten DOM property: synthetic environment content.
         return EvalResult::value(
@@ -717,19 +701,13 @@ EvalResult Interpreter::getProperty(const Value &Base, StringId Name,
   return EvalResult::value(Value::undefined());
 }
 
-Completion Interpreter::setProperty(const Value &Base, StringId Name, Value V,
-                                    Slot **CacheOut) {
+Completion Interpreter::setProperty(const Value &Base, StringId Name,
+                                    Value V) {
   if (!Base.isObject())
     return throwTypeError("cannot set property '" +
                           Interner::global().str(Name) + "' on a non-object");
   JSObject &O = TheHeap.get(Base.Obj);
-  bool Inserted = false;
-  Slot *S = O.set(Name, Slot{std::move(V), Det::Determinate, 0}, &Inserted);
-  // Overwrites of existing non-array properties are pure slot stores — the
-  // cacheable case. Arrays are excluded because index writes also touch
-  // `length` below.
-  if (CacheOut && !Inserted && O.Class != ObjectClass::Array)
-    *CacheOut = S;
+  O.set(Name, Slot{std::move(V), Det::Determinate, 0});
   // Keep array length in sync with index writes.
   if (O.Class == ObjectClass::Array) {
     uint32_t I = Interner::global().arrayIndex(Name);
@@ -744,12 +722,6 @@ Completion Interpreter::setProperty(const Value &Base, StringId Name, Value V,
 }
 
 EvalResult Interpreter::evalExpr(const Expr *E) {
-  // Tiered: cold roots tree-walk (identical semantics), hot roots run their
-  // compiled chunk — one-shot code never pays compilation.
-  if (BC) {
-    if (const bc::Chunk *Ch = BC->lookupHot(E->getID(), E))
-      return vmRun(*Ch, 0, static_cast<uint32_t>(Ch->Code.size()));
-  }
   Completion Tick;
   if (!tick(Tick))
     return EvalResult::abruptly(Tick);
@@ -998,13 +970,11 @@ EvalResult Interpreter::evalAssign(const AssignExpr *E) {
       return EvalResult::abruptly(C);
     // Assignment to an undeclared name creates a global (sloppy mode).
     B = Envs.lookup(CurrentEnv, Id->getAtom());
-    if (B) {
+    if (B)
       B->V = NewV;
-    } else {
-      Envs.noteShapeChange(); // New binding in a pre-existing scope.
+    else
       Envs.get(GlobalEnv).Vars[Id->getAtom()] =
           Binding{NewV, Det::Determinate};
-    }
     return EvalResult::value(NewV);
   }
 
@@ -1133,7 +1103,7 @@ EvalResult Interpreter::evalEval(const std::vector<Value> &Args) {
     return EvalResult::abruptly(Completion::thrown(
         Value::string("SyntaxError: " + Diags.diagnostics()[0].Message)));
   }
-  hoist(Body, CurrentEnv, /*FreshEnv=*/false);
+  hoist(Body, CurrentEnv);
   Value Saved = LastStmtValue;
   LastStmtValue = Value::undefined();
   Completion C = execBlockBody(Body);
@@ -1237,7 +1207,7 @@ EvalResult Interpreter::callClosure(ObjectRef FnObj, const Value &ThisV,
   }
 
   const auto *Body = cast<BlockStmt>(Fn->getBody());
-  hoist(Body->getBody(), CallEnv, /*FreshEnv=*/true);
+  hoist(Body->getBody(), CallEnv);
 
   EnvRef SavedEnv = CurrentEnv;
   Value SavedThis = CurrentThis;

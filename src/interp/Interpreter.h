@@ -14,7 +14,6 @@
 #define DDA_INTERP_INTERPRETER_H
 
 #include "ast/ASTContext.h"
-#include "bytecode/Bytecode.h"
 #include "interp/Builtins.h"
 #include "interp/Environment.h"
 #include "interp/Heap.h"
@@ -24,7 +23,6 @@
 #include "support/RNG.h"
 #include "support/ResourceGovernor.h"
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,9 +35,6 @@ class FaultInjector;
 struct InterpOptions {
   uint64_t RandomSeed = 1; ///< Seed for Math.random (program input).
   uint64_t DomSeed = 1;    ///< Seed for synthetic DOM content (environment).
-  /// Expression execution engine; the bytecode VM is the default hot path,
-  /// the tree-walk is the reference semantics (`--engine=tree`).
-  ExecEngine Engine = defaultExecEngine();
   uint64_t MaxSteps = 50'000'000;
   uint64_t DeadlineMs = 0;   ///< Wall-clock budget; 0 = none.
   uint64_t MaxHeapCells = 0; ///< Heap-cell budget; 0 = unlimited.
@@ -151,11 +146,7 @@ private:
   // Statements.
   Completion execStmt(const Stmt *S);
   Completion execBlockBody(const std::vector<Stmt *> &Body);
-  /// \p FreshEnv: hoisting into an environment allocated for this activation
-  /// (call scope). Hoisting into a pre-existing scope (program toplevel,
-  /// eval'd code) must bump the env arena's shape generation so variable
-  /// inline caches revalidate.
-  void hoist(const std::vector<Stmt *> &Body, EnvRef Env, bool FreshEnv);
+  void hoist(const std::vector<Stmt *> &Body, EnvRef Env);
   void hoistStmt(const Stmt *S, EnvRef Env);
 
   // Expressions.
@@ -167,31 +158,16 @@ private:
   EvalResult evalUpdate(const UpdateExpr *E);
   EvalResult evalEval(const std::vector<Value> &Args);
 
-  // Bytecode engine (VMConcrete.cpp). evalExpr forwards to vmEval when the
-  // chunk cache is live; statements and everything the handlers call stay
-  // shared with the tree-walk.
-  EvalResult vmEval(const Expr *E);
-  EvalResult vmRun(const bc::Chunk &Ch, uint32_t From, uint32_t To);
-
   // Helpers.
-  /// \p OwnOut (optional): receives the own slot of an object base when the
-  /// read resolved to one — the bytecode VM's member inline caches may then
-  /// cache that pointer keyed on the object's shape generation. Left null for
-  /// prototype hits, synthetic DOM reads and primitive bases.
-  EvalResult getProperty(const Value &Base, StringId Name,
-                         Slot **OwnOut = nullptr);
-  /// \p CacheOut (optional): receives the written slot when the store
-  /// overwrote an existing own property of a non-array object — exactly the
-  /// case where a cached `*Slot = ...` replay is equivalent to setProperty.
-  Completion setProperty(const Value &Base, StringId Name, Value V,
-                         Slot **CacheOut = nullptr);
+  EvalResult getProperty(const Value &Base, StringId Name);
+  Completion setProperty(const Value &Base, StringId Name, Value V);
   EvalResult callValue(const Value &Callee, const Value &ThisV,
                        const std::vector<Value> &Args);
   EvalResult callClosure(ObjectRef FnObj, const Value &ThisV,
                          const std::vector<Value> &Args);
   StringId propertyKey(const Value &V);
-  /// Per-step governor checkpoint; defined inline because both engines call
-  /// it once per AST node / instruction (the hottest call in the system).
+  /// Per-step governor checkpoint; defined inline because it runs once per
+  /// AST node (the hottest call in the system).
   bool tick(Completion &C) {
     if (Gov.tickStep())
       return true;
@@ -229,15 +205,6 @@ private:
   std::string Error;
   /// Completion value of the most recent ExpressionStmt (for eval).
   Value LastStmtValue;
-
-  /// Chunk cache; non-null iff Opts.Engine == ExecEngine::Bytecode.
-  std::unique_ptr<bc::Module> BC;
-  /// Operand stack shared by all (re-entrant) dispatch-loop activations;
-  /// each activation works relative to its entry height.
-  std::vector<Value> VStack;
-  /// Branch-join scratch (pairs of {join IP, resume IP}) shared the same
-  /// way, so taking a branch never heap-allocates on the steady state.
-  std::vector<std::pair<uint32_t, uint32_t>> JStack;
 };
 
 } // namespace dda

@@ -47,65 +47,6 @@ bool looseEquals(const Value &A, const Value &B);
 Value applyBinaryOp(BinaryOp Op, const Value &A, const Value &B,
                     const Heap &H);
 
-/// Number-number fast path for applyBinaryOp, inline for the bytecode
-/// dispatch loops (where the out-of-line call plus its type dispatch is a
-/// measurable share of a Binary instruction). Returns false — leaving Out
-/// untouched — whenever the slow path must run; when it returns true, Out
-/// is exactly what applyBinaryOp would have produced (IEEE comparisons
-/// give the NaN-is-false semantics directly).
-inline bool applyBinaryOpFast(BinaryOp Op, const Value &A, const Value &B,
-                              Value &Out) {
-  if (A.Kind != ValueKind::Number || B.Kind != ValueKind::Number)
-    return false;
-  const double X = A.Num, Y = B.Num;
-  switch (Op) {
-  case BinaryOp::Add:
-    Out = Value::number(X + Y);
-    return true;
-  case BinaryOp::Sub:
-    Out = Value::number(X - Y);
-    return true;
-  case BinaryOp::Mul:
-    Out = Value::number(X * Y);
-    return true;
-  case BinaryOp::Div:
-    Out = Value::number(X / Y);
-    return true;
-  case BinaryOp::Eq:
-  case BinaryOp::StrictEq:
-    Out = Value::boolean(X == Y);
-    return true;
-  case BinaryOp::NotEq:
-  case BinaryOp::StrictNotEq:
-    Out = Value::boolean(!(X == Y));
-    return true;
-  case BinaryOp::Less:
-    Out = Value::boolean(X < Y);
-    return true;
-  case BinaryOp::LessEq:
-    Out = Value::boolean(X <= Y);
-    return true;
-  case BinaryOp::Greater:
-    Out = Value::boolean(X > Y);
-    return true;
-  case BinaryOp::GreaterEq:
-    Out = Value::boolean(X >= Y);
-    return true;
-  default:
-    return false; // Mod (fmod), in, instanceof: slow path.
-  }
-}
-
-/// ToBoolean with the branch-condition fast cases inline (booleans and
-/// numbers cover essentially every loop/ternary condition).
-inline bool toBooleanFast(const Value &V) {
-  if (V.Kind == ValueKind::Boolean)
-    return V.Bool;
-  if (V.Kind == ValueKind::Number)
-    return V.Num != 0 && !(V.Num != V.Num);
-  return toBoolean(V);
-}
-
 } // namespace dda
 
 #endif // DDA_INTERP_OPS_H

@@ -126,11 +126,6 @@ bool dda::serve::parseRequest(const std::string &Line, Request &Out,
                          "seeds must be non-negative integers");
         Out.Seeds.push_back(Seed);
       }
-    } else if (Key == "engine") {
-      ExecEngine E;
-      if (!V.isString() || !parseExecEngine(V.str(), E))
-        return failReq(EK, Message, "engine must be 'bytecode' or 'tree'");
-      Out.Engine = E;
     } else if (Key == "detdom") {
       if (!V.isBool())
         return failReq(EK, Message, "detdom must be a boolean");
@@ -257,7 +252,7 @@ int dda::serve::analysisExitCode(const AnalysisResult &R) {
 }
 
 std::string dda::serve::analysisPayloadJson(const AnalysisResult &R,
-                                            ExecEngine Engine,
+                                            ExecEngine,
                                             const std::vector<uint64_t> &Seeds) {
   std::string Out;
   Out.reserve(256 + R.Output.size());
@@ -283,9 +278,7 @@ std::string dda::serve::analysisPayloadJson(const AnalysisResult &R,
                 static_cast<unsigned long long>(factFingerprint(R)));
   Out += "{\"status\":\"ok\",\"exit_code\":";
   Out += std::to_string(analysisExitCode(R));
-  Out += ",\"engine\":\"";
-  Out += execEngineName(Engine);
-  Out += "\",\"seeds\":[";
+  Out += ",\"engine\":\"tree\",\"seeds\":[";
   for (size_t I = 0; I < Seeds.size(); ++I) {
     if (I)
       Out += ',';

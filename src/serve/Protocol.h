@@ -68,8 +68,7 @@ struct Request {
 
   std::vector<uint64_t> Seeds; ///< Validated, non-empty (defaults to {1}).
 
-  std::optional<ExecEngine> Engine; ///< Absent = service default.
-  std::optional<bool> DetDom;       ///< Absent = service default.
+  std::optional<bool> DetDom; ///< Absent = service default.
 
   /// Per-request budget overrides (absent fields keep service defaults).
   /// The server composes these with its ceiling via composeLimits, so a
@@ -93,7 +92,7 @@ bool parseRequest(const std::string &Line, Request &Out, ErrorKind &EK,
 
 /// 64-bit FNV-1a over the canonical rendering of everything a client can
 /// observe from \p R. Byte-identical results ⇔ equal fingerprints, across
-/// engines, thread counts, and serve-vs-CLI entry points.
+/// undo engines, thread counts, and serve-vs-CLI entry points.
 uint64_t factFingerprint(const AnalysisResult &R);
 
 /// Exit code for an analysis outcome, shared by ddajs and the serve
@@ -102,10 +101,10 @@ uint64_t factFingerprint(const AnalysisResult &R);
 int analysisExitCode(const AnalysisResult &R);
 
 /// Serializes the canonical result payload for \p R: `status`, `exit_code`,
-/// `engine`, `seeds`, fact counts, `fingerprint` (hex), `trap`,
-/// degradation summary, stats, and the program output. Used verbatim by
-/// serve responses, `--batch` summary lines, and the tests that compare
-/// the two.
+/// `engine` (always "tree", the only ExecEngine), `seeds`, fact counts,
+/// `fingerprint` (hex), `trap`, degradation summary, stats, and the program
+/// output. Used verbatim by serve responses, `--batch` summary lines, and
+/// the tests that compare the two.
 std::string analysisPayloadJson(const AnalysisResult &R, ExecEngine Engine,
                                 const std::vector<uint64_t> &Seeds);
 

@@ -555,7 +555,6 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
   }
 
   // Effective options: request overrides folded under the service ceiling.
-  ExecEngine Engine = Req.Engine.value_or(Opts.Engine);
   bool DetDom = Req.DetDom.value_or(Opts.DetDom);
   AnalysisOptions AOpts;
   GovernorLimits ReqLimits = AOpts.governorLimits();
@@ -590,7 +589,6 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
     LocalInjector.reset();
 
   AOpts.DomSeed = Opts.DomSeed;
-  AOpts.Engine = Engine;
   AOpts.DeterminateDom = DetDom;
   AOpts.MaxSteps = Limits.MaxSteps;
   AOpts.DeadlineMs = Limits.DeadlineMs;
@@ -612,7 +610,7 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
   {
     // Everything that can change the result participates: the program
     // bytes, and the one shared definition of "same options"
-    // (optionVectorFingerprint, which covers engine, DOM mode and seed,
+    // (optionVectorFingerprint, which covers DOM mode and seed,
     // every composed budget, and the injector spec) folded with the
     // request's seed list.
     uint64_t OptFold = optionVectorFingerprint(
@@ -697,7 +695,7 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
     (void)Store.commit(CommitErr);
   }
 
-  Payload = analysisPayloadJson(R, Engine, Req.Seeds);
+  Payload = analysisPayloadJson(R, AOpts.Engine, Req.Seeds);
   // Deadline traps depend on wall-clock scheduling, not on the key — the
   // one outcome that must never be replayed from cache.
   if (!Req.NoCache && R.Trap != TrapKind::Deadline)

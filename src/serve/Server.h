@@ -89,8 +89,7 @@ struct ServeOptions {
   /// tighten it.
   GovernorLimits Ceiling;
 
-  ExecEngine Engine = defaultExecEngine(); ///< Default request engine.
-  bool DetDom = false;                     ///< Default request DOM mode.
+  bool DetDom = false; ///< Default request DOM mode.
   uint64_t DomSeed = 1;
 
   /// Service-level fault injection (`ddajs serve --inject-fault`): cloned

@@ -8,14 +8,8 @@
 /// stability (elements live in fixed chunks that never move) but with a
 /// chunk size tuned to the element (libstdc++'s deque uses 512-*byte*
 /// blocks — about three JSObjects per block — so allocation-heavy programs
-/// pay a malloc every third object). It is also *pooled*: `truncateTo`
-/// does not destroy elements, it parks them; the next allocation calls
-/// `T::reset()` on a parked element — which must restore every field to
-/// its freshly-constructed state — so the element's containers keep their
-/// buckets/capacity.
-/// Observable state after reset is byte-equivalent to destroy+reconstruct
-/// (ShapeGen/SaveGen zero, empty maps), which is what the snapshot/journal
-/// byte-identity suites check.
+/// pay a malloc every third object). It only grows: elements live until
+/// the arena dies.
 ///
 /// `SmallVec<T, N>` is a small-size-optimized vector for trivially copyable
 /// elements, used for `JSObject::MaybeAbsent`/`MaybePresent`: almost every
@@ -39,10 +33,8 @@
 
 namespace dda {
 
-/// Chunked, pooled arena. Addresses are stable for the arena's lifetime;
-/// `truncateTo` parks elements for reuse instead of destroying them.
-/// `T` must be default-constructible and provide `reset()` (see file
-/// comment). Copying the arena copies live elements only.
+/// Chunked, append-only arena. Addresses are stable for the arena's
+/// lifetime; `T` must be default-constructible. Move-only.
 template <typename T, unsigned ChunkElems = 64>
 class ChunkedArena {
   static_assert((ChunkElems & (ChunkElems - 1)) == 0,
@@ -54,8 +46,7 @@ class ChunkedArena {
   };
 
   std::vector<std::unique_ptr<Chunk>> Chunks;
-  size_t Sz = 0;          ///< Live elements.
-  size_t Constructed = 0; ///< High-water mark of constructed elements.
+  size_t Sz = 0; ///< Live elements.
 
   T &slot(size_t I) { return Chunks[I / ChunkElems]->elems()[I % ChunkElems]; }
   const T &slot(size_t I) const {
@@ -63,51 +54,30 @@ class ChunkedArena {
   }
 
   void destroyAll() {
-    for (size_t I = 0; I < Constructed; ++I)
+    for (size_t I = 0; I < Sz; ++I)
       slot(I).~T();
     Chunks.clear();
     Sz = 0;
-    Constructed = 0;
-  }
-
-  void copyFrom(const ChunkedArena &O) {
-    Chunks.reserve((O.Sz + ChunkElems - 1) / ChunkElems);
-    for (size_t I = 0; I < O.Sz; ++I) {
-      if (I % ChunkElems == 0)
-        Chunks.push_back(std::make_unique<Chunk>());
-      new (&slot(I)) T(O.slot(I));
-    }
-    Sz = O.Sz;
-    Constructed = O.Sz; // Pool residue is not carried into copies.
   }
 
 public:
   ChunkedArena() = default;
   ~ChunkedArena() { destroyAll(); }
 
-  ChunkedArena(const ChunkedArena &O) { copyFrom(O); }
-  ChunkedArena &operator=(const ChunkedArena &O) {
-    if (this != &O) {
-      destroyAll();
-      copyFrom(O);
-    }
-    return *this;
-  }
+  ChunkedArena(const ChunkedArena &) = delete;
+  ChunkedArena &operator=(const ChunkedArena &) = delete;
   ChunkedArena(ChunkedArena &&O) noexcept
-      : Chunks(std::move(O.Chunks)), Sz(O.Sz), Constructed(O.Constructed) {
+      : Chunks(std::move(O.Chunks)), Sz(O.Sz) {
     O.Chunks.clear();
     O.Sz = 0;
-    O.Constructed = 0;
   }
   ChunkedArena &operator=(ChunkedArena &&O) noexcept {
     if (this != &O) {
       destroyAll();
       Chunks = std::move(O.Chunks);
       Sz = O.Sz;
-      Constructed = O.Constructed;
       O.Chunks.clear();
       O.Sz = 0;
-      O.Constructed = 0;
     }
     return *this;
   }
@@ -129,27 +99,13 @@ public:
     return slot(Sz - 1);
   }
 
-  /// Appends one element: a freshly default-constructed one past the
-  /// high-water mark, or a parked element reset in place.
+  /// Appends one default-constructed element.
   T &push() {
-    if (Sz < Constructed) {
-      T &X = slot(Sz++);
-      X.reset();
-      return X;
-    }
     if (Sz == Chunks.size() * ChunkElems)
       Chunks.push_back(std::make_unique<Chunk>());
     T &X = *new (&slot(Sz)) T();
     ++Sz;
-    ++Constructed;
     return X;
-  }
-
-  /// Shrinks the live range to \p N elements, parking the rest for reuse
-  /// (their memory and container capacity are retained).
-  void truncateTo(size_t N) {
-    assert(N <= Sz);
-    Sz = N;
   }
 };
 
@@ -249,7 +205,9 @@ public:
     uint32_t Want = static_cast<uint32_t>(Last - First);
     if (Want > Cap)
       grow(Want);
-    std::memmove(static_cast<void *>(Ptr), First, sizeof(T) * Want);
+    // An empty std::vector's data() may be null, which memmove must not get.
+    if (Want)
+      std::memmove(static_cast<void *>(Ptr), First, sizeof(T) * Want);
     Sz = Want;
   }
 

@@ -2,7 +2,7 @@
 //
 // Unit tests for the PR 10 hot-path containers: FlatMap/FlatSet
 // (open-addressing tables), NodeBitSet (dense executed-id sets),
-// ChunkedArena/SmallVec (pooled heap storage), plus the layout and hashing
+// ChunkedArena/SmallVec (heap storage), plus the layout and hashing
 // contracts the analysis core depends on: the slim-journal entry size, the
 // 16-byte Value POD, and the FactKeyHash bucket-distribution regression.
 //
@@ -377,60 +377,23 @@ TEST(NodeBitSet, InsertAllAndEquality) {
 
 namespace {
 
-struct Pooled {
+struct Elem {
   int X = 0;
-  std::vector<int> Buf;
-  void reset() {
-    X = 0;
-    Buf.clear();
-  }
 };
 
 } // namespace
 
 TEST(ChunkedArena, StableAddressesAcrossGrowth) {
-  ChunkedArena<Pooled> A;
-  std::vector<Pooled *> Ptrs;
+  ChunkedArena<Elem> A;
+  std::vector<Elem *> Ptrs;
   for (int I = 0; I < 500; ++I) {
-    Pooled &P = A.push();
+    Elem &P = A.push();
     P.X = I;
     Ptrs.push_back(&P);
   }
   for (int I = 0; I < 500; ++I)
     EXPECT_EQ(Ptrs[I]->X, I) << "chunk moved under growth";
   EXPECT_EQ(&A[123], Ptrs[123]);
-}
-
-TEST(ChunkedArena, TruncatePoolsAndResets) {
-  ChunkedArena<Pooled> A;
-  for (int I = 0; I < 100; ++I) {
-    Pooled &P = A.push();
-    P.X = I;
-    P.Buf.assign(8, I);
-  }
-  Pooled *Old = &A[50];
-  A.truncateTo(50);
-  EXPECT_EQ(A.size(), 50u);
-  // Reuse: same slot address, freshly-reset state.
-  Pooled &Reused = A.push();
-  EXPECT_EQ(&Reused, Old);
-  EXPECT_EQ(Reused.X, 0);
-  EXPECT_TRUE(Reused.Buf.empty());
-}
-
-TEST(ChunkedArena, CopyCarriesLiveElementsOnly) {
-  ChunkedArena<Pooled> A;
-  for (int I = 0; I < 80; ++I)
-    A.push().X = I;
-  A.truncateTo(10); // 70 parked.
-  ChunkedArena<Pooled> B = A;
-  EXPECT_EQ(B.size(), 10u);
-  for (int I = 0; I < 10; ++I)
-    EXPECT_EQ(B[I].X, I);
-  B.push().X = 99; // Fresh construction past the copy, not pool residue.
-  EXPECT_EQ(B[10].X, 99);
-  A[5].X = -1; // Deep copy: no aliasing.
-  EXPECT_EQ(B[5].X, 5);
 }
 
 TEST(SmallVec, InlineAndSpill) {

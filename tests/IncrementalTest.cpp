@@ -6,9 +6,9 @@
 /// built by a different program, tampered store — produces byte-identical
 /// facts, output, stats, and exit codes to a plain run. These tests hold
 /// that contract across the full workload corpus (paper figures,
-/// miniquery, runnable eval-suite overlays, generated fuzz programs), both
-/// expression engines, and seed fan-outs at jobs 1 and 8, then probe the
-/// store's failure modes directly:
+/// miniquery, runnable eval-suite overlays, generated fuzz programs) and
+/// seed fan-outs at jobs 1 and 8, then probe the store's failure modes
+/// directly:
 ///
 ///  * warm reuse — a second identical run replays exactly the summaries
 ///    the first stored;
@@ -64,7 +64,7 @@ Program parseOk(const std::string &Source) {
   return P;
 }
 
-/// Same sweep as the snapshot and bytecode differential suites.
+/// Same sweep as the snapshot differential suite.
 std::vector<std::pair<std::string, std::string>> corpus() {
   std::vector<std::pair<std::string, std::string>> Out;
   Out.emplace_back("figure1", workloads::figure1());
@@ -112,10 +112,8 @@ std::string incFingerprint(const AnalysisResult &R) {
   return OS.str();
 }
 
-AnalysisOptions incOptions(ExecEngine Engine, IncrementalMode Mode,
-                           FactStore *Store) {
+AnalysisOptions incOptions(IncrementalMode Mode, FactStore *Store) {
   AnalysisOptions Opts;
-  Opts.Engine = Engine;
   Opts.RecordAllExpressions = true; // Max-coverage fact surface.
   Opts.Incremental = Mode;
   Opts.Store = Store;
@@ -177,10 +175,10 @@ uint64_t fnv64(const void *Data, size_t Len) {
 
 /// Runs \p Source once with \p Mode against \p Store (which may be null
 /// for Off) and returns the result.
-AnalysisResult runOnce(const std::string &Source, ExecEngine Engine,
-                       IncrementalMode Mode, FactStore *Store) {
+AnalysisResult runOnce(const std::string &Source, IncrementalMode Mode,
+                       FactStore *Store) {
   Program P = parseOk(Source);
-  return runDeterminacyAnalysis(P, incOptions(Engine, Mode, Store));
+  return runDeterminacyAnalysis(P, incOptions(Mode, Store));
 }
 
 /// A deterministic straight-line program whose every top-level statement
@@ -196,7 +194,7 @@ std::string cleanProgram() {
 constexpr uint64_t CleanProgramRegions = 6;
 
 //===----------------------------------------------------------------------===//
-// Corpus-wide differential: off == cold == warm == strict, both engines
+// Corpus-wide differential: off == cold == warm == strict
 //===----------------------------------------------------------------------===//
 
 class IncrementalDifferentialTest
@@ -204,39 +202,31 @@ class IncrementalDifferentialTest
 
 TEST_P(IncrementalDifferentialTest, OnMatchesOffColdWarmAndStrict) {
   const std::string &Source = GetParam().second;
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    AnalysisResult Off =
-        runOnce(Source, Engine, IncrementalMode::Off, nullptr);
-    const std::string OffFp = incFingerprint(Off);
+  AnalysisResult Off = runOnce(Source, IncrementalMode::Off, nullptr);
+  const std::string OffFp = incFingerprint(Off);
 
-    TempStoreDir Dir;
-    FactStore Store;
-    std::string Err;
-    ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
+  TempStoreDir Dir;
+  FactStore Store;
+  std::string Err;
+  ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
 
-    AnalysisResult Cold = runOnce(Source, Engine, IncrementalMode::On, &Store);
-    EXPECT_EQ(OffFp, incFingerprint(Cold))
-        << "cold engine=" << execEngineName(Engine);
-    EXPECT_EQ(0u, Cold.Stats.IncrementalReplays);
+  AnalysisResult Cold = runOnce(Source, IncrementalMode::On, &Store);
+  EXPECT_EQ(OffFp, incFingerprint(Cold));
+  EXPECT_EQ(0u, Cold.Stats.IncrementalReplays);
 
-    AnalysisResult Warm = runOnce(Source, Engine, IncrementalMode::On, &Store);
-    EXPECT_EQ(OffFp, incFingerprint(Warm))
-        << "warm engine=" << execEngineName(Engine);
-    // Warm replay picks up exactly where cold capture stored: every clean
-    // region cold persisted replays, and the chain goes cold at the same
-    // region both times.
-    EXPECT_EQ(Cold.Stats.SummariesStored, Warm.Stats.IncrementalReplays)
-        << "engine=" << execEngineName(Engine);
-    EXPECT_EQ(Cold.Stats.IncrementalRegions, Warm.Stats.IncrementalRegions);
+  AnalysisResult Warm = runOnce(Source, IncrementalMode::On, &Store);
+  EXPECT_EQ(OffFp, incFingerprint(Warm));
+  // Warm replay picks up exactly where cold capture stored: every clean
+  // region cold persisted replays, and the chain goes cold at the same
+  // region both times.
+  EXPECT_EQ(Cold.Stats.SummariesStored, Warm.Stats.IncrementalReplays);
+  EXPECT_EQ(Cold.Stats.IncrementalRegions, Warm.Stats.IncrementalRegions);
 
-    // Strict re-executes everything and cross-checks against the store:
-    // same observable result, no replays counted, no mismatch aborts.
-    AnalysisResult Strict =
-        runOnce(Source, Engine, IncrementalMode::Strict, &Store);
-    EXPECT_EQ(OffFp, incFingerprint(Strict))
-        << "strict engine=" << execEngineName(Engine);
-    EXPECT_EQ(0u, Strict.Stats.IncrementalReplays);
-  }
+  // Strict re-executes everything and cross-checks against the store:
+  // same observable result, no replays counted, no mismatch aborts.
+  AnalysisResult Strict = runOnce(Source, IncrementalMode::Strict, &Store);
+  EXPECT_EQ(OffFp, incFingerprint(Strict));
+  EXPECT_EQ(0u, Strict.Stats.IncrementalReplays);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -251,35 +241,31 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(IncrementalParallelTest, JobsFanoutMatchesOffAcrossModes) {
   const std::string Source = workloads::miniquery(3);
   const std::vector<uint64_t> Seeds = {1, 2, 3, 4, 5, 6};
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    Program POff = parseOk(Source);
-    AnalysisResult Off = runDeterminacyAnalysisParallel(
-        POff, incOptions(Engine, IncrementalMode::Off, nullptr), Seeds, 1);
-    const std::string OffFp = incFingerprint(Off);
+  Program POff = parseOk(Source);
+  AnalysisResult Off = runDeterminacyAnalysisParallel(
+      POff, incOptions(IncrementalMode::Off, nullptr), Seeds, 1);
+  const std::string OffFp = incFingerprint(Off);
 
-    TempStoreDir Dir;
-    FactStore Store;
-    std::string Err;
-    ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
+  TempStoreDir Dir;
+  FactStore Store;
+  std::string Err;
+  ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
 
-    // Cold fan-out at jobs=1 populates the store (per-seed key spaces are
-    // disjoint: the option fingerprint folds the seed).
-    Program PCold = parseOk(Source);
-    AnalysisResult Cold = runDeterminacyAnalysisParallel(
-        PCold, incOptions(Engine, IncrementalMode::On, &Store), Seeds, 1);
-    EXPECT_EQ(OffFp, incFingerprint(Cold))
-        << "cold jobs=1 engine=" << execEngineName(Engine);
+  // Cold fan-out at jobs=1 populates the store (per-seed key spaces are
+  // disjoint: the option fingerprint folds the seed).
+  Program PCold = parseOk(Source);
+  AnalysisResult Cold = runDeterminacyAnalysisParallel(
+      PCold, incOptions(IncrementalMode::On, &Store), Seeds, 1);
+  EXPECT_EQ(OffFp, incFingerprint(Cold));
 
-    // Warm fan-out at jobs=8: concurrent seed tasks replay from the shared
-    // store, merged result still byte-identical.
-    Program PWarm = parseOk(Source);
-    AnalysisResult Warm = runDeterminacyAnalysisParallel(
-        PWarm, incOptions(Engine, IncrementalMode::On, &Store), Seeds, 8);
-    EXPECT_EQ(OffFp, incFingerprint(Warm))
-        << "warm jobs=8 engine=" << execEngineName(Engine);
-    EXPECT_GT(Warm.Stats.IncrementalReplays, 0u);
-    EXPECT_EQ(Cold.Stats.SummariesStored, Warm.Stats.IncrementalReplays);
-  }
+  // Warm fan-out at jobs=8: concurrent seed tasks replay from the shared
+  // store, merged result still byte-identical.
+  Program PWarm = parseOk(Source);
+  AnalysisResult Warm = runDeterminacyAnalysisParallel(
+      PWarm, incOptions(IncrementalMode::On, &Store), Seeds, 8);
+  EXPECT_EQ(OffFp, incFingerprint(Warm));
+  EXPECT_GT(Warm.Stats.IncrementalReplays, 0u);
+  EXPECT_EQ(Cold.Stats.SummariesStored, Warm.Stats.IncrementalReplays);
 }
 
 //===----------------------------------------------------------------------===//
@@ -288,23 +274,20 @@ TEST(IncrementalParallelTest, JobsFanoutMatchesOffAcrossModes) {
 
 /// Runs cleanProgram() cold into a fresh store and commits a segment.
 /// Returns the baseline (off-mode) fingerprint.
-std::string seedStore(const TempStoreDir &Dir, ExecEngine Engine) {
+std::string seedStore(const TempStoreDir &Dir) {
   FactStore Store;
   std::string Err;
   EXPECT_TRUE(Store.open(Dir.path(), Err)) << Err;
-  AnalysisResult Cold =
-      runOnce(cleanProgram(), Engine, IncrementalMode::On, &Store);
+  AnalysisResult Cold = runOnce(cleanProgram(), IncrementalMode::On, &Store);
   EXPECT_EQ(CleanProgramRegions, Cold.Stats.SummariesStored);
   EXPECT_TRUE(Store.commit(Err)) << Err;
   EXPECT_EQ(1u, segmentFiles(Dir.path()).size());
-  return incFingerprint(
-      runOnce(cleanProgram(), Engine, IncrementalMode::Off, nullptr));
+  return incFingerprint(runOnce(cleanProgram(), IncrementalMode::Off, nullptr));
 }
 
 TEST(IncrementalStoreTest, TruncatedSegmentFallsBackToColdStart) {
-  const ExecEngine Engine = defaultExecEngine();
   TempStoreDir Dir;
-  const std::string OffFp = seedStore(Dir, Engine);
+  const std::string OffFp = seedStore(Dir);
   const std::string Seg = segmentFiles(Dir.path()).front();
   const std::string Full = slurp(Seg);
   ASSERT_GT(Full.size(), 24u);
@@ -318,8 +301,7 @@ TEST(IncrementalStoreTest, TruncatedSegmentFallsBackToColdStart) {
     EXPECT_EQ(1u, Store.segmentsLoaded());
     EXPECT_GE(Store.recordsDropped(), 1u);
     EXPECT_LT(Store.size(), CleanProgramRegions);
-    AnalysisResult R =
-        runOnce(cleanProgram(), Engine, IncrementalMode::On, &Store);
+    AnalysisResult R = runOnce(cleanProgram(), IncrementalMode::On, &Store);
     EXPECT_EQ(OffFp, incFingerprint(R));
     // The missing tail is re-captured, so a later commit re-warms it.
     EXPECT_EQ(CleanProgramRegions,
@@ -335,8 +317,7 @@ TEST(IncrementalStoreTest, TruncatedSegmentFallsBackToColdStart) {
     ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
     EXPECT_EQ(1u, Store.segmentsSkipped());
     EXPECT_EQ(0u, Store.size());
-    AnalysisResult R =
-        runOnce(cleanProgram(), Engine, IncrementalMode::On, &Store);
+    AnalysisResult R = runOnce(cleanProgram(), IncrementalMode::On, &Store);
     EXPECT_EQ(OffFp, incFingerprint(R));
     EXPECT_EQ(0u, R.Stats.IncrementalReplays);
     EXPECT_EQ(CleanProgramRegions, R.Stats.SummariesStored);
@@ -344,9 +325,8 @@ TEST(IncrementalStoreTest, TruncatedSegmentFallsBackToColdStart) {
 }
 
 TEST(IncrementalStoreTest, BitFlippedRecordIsDroppedNotTrusted) {
-  const ExecEngine Engine = defaultExecEngine();
   TempStoreDir Dir;
-  const std::string OffFp = seedStore(Dir, Engine);
+  const std::string OffFp = seedStore(Dir);
   const std::string Seg = segmentFiles(Dir.path()).front();
   std::string Bytes = slurp(Seg);
   ASSERT_GT(Bytes.size(), 40u);
@@ -359,15 +339,13 @@ TEST(IncrementalStoreTest, BitFlippedRecordIsDroppedNotTrusted) {
   std::string Err;
   ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
   EXPECT_GE(Store.recordsDropped(), 1u);
-  AnalysisResult R =
-      runOnce(cleanProgram(), Engine, IncrementalMode::On, &Store);
+  AnalysisResult R = runOnce(cleanProgram(), IncrementalMode::On, &Store);
   EXPECT_EQ(OffFp, incFingerprint(R));
 }
 
 TEST(IncrementalStoreTest, StrictModeCatchesChecksumValidTampering) {
-  const ExecEngine Engine = defaultExecEngine();
   TempStoreDir Dir;
-  const std::string OffFp = seedStore(Dir, Engine);
+  const std::string OffFp = seedStore(Dir);
   const std::string Seg = segmentFiles(Dir.path()).front();
   std::string Bytes = slurp(Seg);
   // Record layout: [u32 Len][u64 Sum][payload: StmtKey PreFp OptFp PostFp
@@ -391,8 +369,7 @@ TEST(IncrementalStoreTest, StrictModeCatchesChecksumValidTampering) {
   // Mode `on` trusts the record: the delta itself is intact, so region 0
   // replays correctly; only the forward chain breaks, and every later
   // region falls back to plain execution. Observably still identical.
-  AnalysisResult On =
-      runOnce(cleanProgram(), Engine, IncrementalMode::On, &Store);
+  AnalysisResult On = runOnce(cleanProgram(), IncrementalMode::On, &Store);
   EXPECT_EQ(OffFp, incFingerprint(On));
   EXPECT_GE(On.Stats.IncrementalReplays, 1u);
   EXPECT_LT(On.Stats.IncrementalReplays, CleanProgramRegions);
@@ -400,7 +377,7 @@ TEST(IncrementalStoreTest, StrictModeCatchesChecksumValidTampering) {
   // Mode `strict` re-executes and cross-checks: the tampered PostFp is a
   // divergence between store and reality — internal-error abort, exit 4.
   AnalysisResult Strict =
-      runOnce(cleanProgram(), Engine, IncrementalMode::Strict, &Store);
+      runOnce(cleanProgram(), IncrementalMode::Strict, &Store);
   EXPECT_FALSE(Strict.Ok);
   EXPECT_EQ(TrapKind::InternalError, Strict.Trap);
   EXPECT_EQ(4, serve::analysisExitCode(Strict));
@@ -421,18 +398,17 @@ TEST(IncrementalKeysTest, RepeatedIdenticalStatementsChainSeparately) {
                              "x = x + 1;\n"
                              "x = x + 1;\n"
                              "print(x);\n";
-  const ExecEngine Engine = defaultExecEngine();
   const std::string OffFp =
-      incFingerprint(runOnce(Source, Engine, IncrementalMode::Off, nullptr));
+      incFingerprint(runOnce(Source, IncrementalMode::Off, nullptr));
 
   TempStoreDir Dir;
   FactStore Store;
   std::string Err;
   ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
-  AnalysisResult Cold = runOnce(Source, Engine, IncrementalMode::On, &Store);
+  AnalysisResult Cold = runOnce(Source, IncrementalMode::On, &Store);
   EXPECT_EQ(OffFp, incFingerprint(Cold));
   EXPECT_EQ(5u, Cold.Stats.SummariesStored);
-  AnalysisResult Warm = runOnce(Source, Engine, IncrementalMode::On, &Store);
+  AnalysisResult Warm = runOnce(Source, IncrementalMode::On, &Store);
   EXPECT_EQ(OffFp, incFingerprint(Warm));
   EXPECT_EQ(5u, Warm.Stats.IncrementalReplays);
 }
@@ -441,13 +417,12 @@ TEST(IncrementalKeysTest, SharedPrefixReplaysOnlyWhenHoistedStateMatches) {
   const std::string Prefix = "var n = 3;\n"
                              "var m = n * n;\n"
                              "print(m);\n";
-  const ExecEngine Engine = defaultExecEngine();
 
   TempStoreDir Dir;
   FactStore Store;
   std::string Err;
   ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
-  AnalysisResult A = runOnce(Prefix, Engine, IncrementalMode::On, &Store);
+  AnalysisResult A = runOnce(Prefix, IncrementalMode::On, &Store);
   EXPECT_EQ(3u, A.Stats.SummariesStored);
 
   // Program B extends A with a non-hoisting tail: the hoisted environment
@@ -455,8 +430,8 @@ TEST(IncrementalKeysTest, SharedPrefixReplaysOnlyWhenHoistedStateMatches) {
   // — cross-program sharing by construction, and still byte-identical.
   const std::string B = Prefix + "print(m + 1);\n";
   const std::string BOffFp =
-      incFingerprint(runOnce(B, Engine, IncrementalMode::Off, nullptr));
-  AnalysisResult BWarm = runOnce(B, Engine, IncrementalMode::On, &Store);
+      incFingerprint(runOnce(B, IncrementalMode::Off, nullptr));
+  AnalysisResult BWarm = runOnce(B, IncrementalMode::On, &Store);
   EXPECT_EQ(BOffFp, incFingerprint(BWarm));
   EXPECT_EQ(3u, BWarm.Stats.IncrementalReplays);
 
@@ -465,8 +440,8 @@ TEST(IncrementalKeysTest, SharedPrefixReplaysOnlyWhenHoistedStateMatches) {
   // unsound. The hoist fingerprint in the chain base must force a miss.
   const std::string C = Prefix + "var z = 9;\n";
   const std::string COffFp =
-      incFingerprint(runOnce(C, Engine, IncrementalMode::Off, nullptr));
-  AnalysisResult CWarm = runOnce(C, Engine, IncrementalMode::On, &Store);
+      incFingerprint(runOnce(C, IncrementalMode::Off, nullptr));
+  AnalysisResult CWarm = runOnce(C, IncrementalMode::On, &Store);
   EXPECT_EQ(COffFp, incFingerprint(CWarm));
   EXPECT_EQ(0u, CWarm.Stats.IncrementalReplays);
 }
@@ -490,32 +465,28 @@ TEST(IncrementalEditTest, TailEditReplaysWholePrefix) {
   const std::string V1 = Lib + "print(acc + 1);\n";
   const std::string V2 = Lib + "print(acc + 2);\n";
 
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    TempStoreDir Dir;
-    FactStore Store;
-    std::string Err;
-    ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
+  TempStoreDir Dir;
+  FactStore Store;
+  std::string Err;
+  ASSERT_TRUE(Store.open(Dir.path(), Err)) << Err;
 
-    AnalysisResult Cold = runOnce(V1, Engine, IncrementalMode::On, &Store);
-    EXPECT_EQ(PrefixRegions + 1, Cold.Stats.SummariesStored);
+  AnalysisResult Cold = runOnce(V1, IncrementalMode::On, &Store);
+  EXPECT_EQ(PrefixRegions + 1, Cold.Stats.SummariesStored);
 
-    const std::string V2OffFp =
-        incFingerprint(runOnce(V2, Engine, IncrementalMode::Off, nullptr));
-    AnalysisResult Warm = runOnce(V2, Engine, IncrementalMode::On, &Store);
-    EXPECT_EQ(V2OffFp, incFingerprint(Warm))
-        << "engine=" << execEngineName(Engine);
-    EXPECT_EQ(PrefixRegions, Warm.Stats.IncrementalReplays);
-    EXPECT_EQ(PrefixRegions + 1, Warm.Stats.IncrementalRegions);
-    // The ISSUE acceptance bar: a one-statement edit replays >= 50% of
-    // the program's regions.
-    EXPECT_GE(2 * Warm.Stats.IncrementalReplays,
-              Warm.Stats.IncrementalRegions);
+  const std::string V2OffFp =
+      incFingerprint(runOnce(V2, IncrementalMode::Off, nullptr));
+  AnalysisResult Warm = runOnce(V2, IncrementalMode::On, &Store);
+  EXPECT_EQ(V2OffFp, incFingerprint(Warm));
+  EXPECT_EQ(PrefixRegions, Warm.Stats.IncrementalReplays);
+  EXPECT_EQ(PrefixRegions + 1, Warm.Stats.IncrementalRegions);
+  // The acceptance bar: a one-statement edit replays >= 50% of the
+  // program's regions.
+  EXPECT_GE(2 * Warm.Stats.IncrementalReplays, Warm.Stats.IncrementalRegions);
 
-    // The edited tail was captured too: running V2 again is a full replay.
-    AnalysisResult Warm2 = runOnce(V2, Engine, IncrementalMode::On, &Store);
-    EXPECT_EQ(V2OffFp, incFingerprint(Warm2));
-    EXPECT_EQ(PrefixRegions + 1, Warm2.Stats.IncrementalReplays);
-  }
+  // The edited tail was captured too: running V2 again is a full replay.
+  AnalysisResult Warm2 = runOnce(V2, IncrementalMode::On, &Store);
+  EXPECT_EQ(V2OffFp, incFingerprint(Warm2));
+  EXPECT_EQ(PrefixRegions + 1, Warm2.Stats.IncrementalReplays);
 }
 
 } // namespace

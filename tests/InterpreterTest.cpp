@@ -484,4 +484,34 @@ TEST(Interp, CompoundAssignOnProperties) {
             "30\n");
 }
 
+TEST(Interp, RunsEveryExpressionShape) {
+  // One of every expression form: literals, vars, members (static and
+  // computed), compound assignment, update, delete, typeof,
+  // logical/conditional branches, calls, new, eval.
+  EXPECT_EQ(runOutput("var o = {a: 1, b: [1, 2, 3]};\n"
+                      "function f(x) { return x ? o.a : o['b'][0]; }\n"
+                      "o.a += f(2) && f(0) || 3;\n"
+                      "function Ctor() { this.tag = 1; }\n"
+                      "o.c = new Ctor();\n"
+                      "delete o.a;\n"
+                      "var t = typeof missing;\n"
+                      "o.b[0]++;\n"
+                      "print(eval('1 + 1'));\n"),
+            "2\n");
+}
+
+TEST(Interp, NestedEvalOverlays) {
+  // Runtime-parsed ASTs nested through recursion and through eval itself.
+  EXPECT_EQ(runOutput("var depth = 0;\n"
+                      "function go(n) {\n"
+                      "  if (n > 0) { depth = eval('go(' + (n - 1) + "
+                      "'); depth + 1'); }\n"
+                      "  return depth;\n"
+                      "}\n"
+                      "print(go(5));\n"
+                      "print(eval('eval(\"eval(\\'depth * 10\\')\")'));"
+                      "\n"),
+            "5\n50\n");
+}
+
 } // namespace

@@ -6,9 +6,9 @@
 ///
 ///  1. Served results are *byte-identical* to single-shot CLI runs — the
 ///     `result` payload of a serve response equals analysisPayloadJson over
-///     a serial runDeterminacyAnalysisParallel of the same (source, seeds,
-///     engine), for both engines, across the paper figures and fuzz
-///     corpora, from 8 concurrent clients.
+///     a serial runDeterminacyAnalysisParallel of the same (source, seeds),
+///     across the paper figures and fuzz corpora, from 8 concurrent
+///     clients.
 ///  2. Hostile input gets a *typed* error, never a dead daemon: truncated
 ///     JSON, wrong types, unknown members, huge payloads, bad seed lists,
 ///     parse errors, program errors, injected faults.
@@ -152,18 +152,16 @@ std::string analyzeRequest(const std::string &Source,
 }
 
 /// What the daemon must answer: the payload of a *serial single-shot* run
-/// of the same source under the same seeds and engine.
+/// of the same source under the same seeds.
 std::string expectedPayload(const std::string &Source,
-                            const std::vector<uint64_t> &Seeds,
-                            ExecEngine Engine) {
+                            const std::vector<uint64_t> &Seeds) {
   DiagnosticEngine Diags;
   Program P = parseProgram(Source, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   AnalysisOptions Opts;
   Opts.RandomSeed = Seeds.front();
-  Opts.Engine = Engine;
   AnalysisResult R = runDeterminacyAnalysisParallel(P, Opts, Seeds, 1);
-  return serve::analysisPayloadJson(R, Engine, Seeds);
+  return serve::analysisPayloadJson(R, Opts.Engine, Seeds);
 }
 
 serve::ServeOptions testOptions() {
@@ -190,25 +188,20 @@ private:
   bool Ok = false;
 };
 
-TEST(Serve, AnalyzeMatchesSingleShotAcrossEngines) {
+TEST(Serve, AnalyzeMatchesSingleShot) {
   RunningServer R(testOptions());
   ASSERT_TRUE(R.ok());
   Client C(R.port());
   ASSERT_TRUE(C.connected());
   std::vector<uint64_t> Seeds = {1, 2, 3};
-  for (ExecEngine Engine : {ExecEngine::Bytecode, ExecEngine::TreeWalk}) {
-    std::string EngineExtra = std::string(",\"engine\":\"") +
-                              execEngineName(Engine) + "\",\"no_cache\":true";
-    for (const char *Source :
-         {workloads::figure1(), workloads::figure2(), workloads::figure3(),
-          workloads::figure4()}) {
-      std::string Resp =
-          C.roundTrip(analyzeRequest(Source, Seeds, EngineExtra));
-      ASSERT_FALSE(Resp.empty());
-      EXPECT_FALSE(cachedFlag(Resp));
-      EXPECT_EQ(resultOf(Resp), expectedPayload(Source, Seeds, Engine))
-          << "engine " << execEngineName(Engine);
-    }
+  for (const char *Source :
+       {workloads::figure1(), workloads::figure2(), workloads::figure3(),
+        workloads::figure4()}) {
+    std::string Resp =
+        C.roundTrip(analyzeRequest(Source, Seeds, ",\"no_cache\":true"));
+    ASSERT_FALSE(Resp.empty());
+    EXPECT_FALSE(cachedFlag(Resp));
+    EXPECT_EQ(resultOf(Resp), expectedPayload(Source, Seeds));
   }
 }
 
@@ -222,8 +215,7 @@ TEST(Serve, FuzzCorpusMatchesSingleShot) {
     std::string Source = workloads::generateProgram(ProgramSeed);
     std::string Resp = C.roundTrip(analyzeRequest(Source, Seeds));
     ASSERT_FALSE(Resp.empty());
-    EXPECT_EQ(resultOf(Resp),
-              expectedPayload(Source, Seeds, defaultExecEngine()))
+    EXPECT_EQ(resultOf(Resp), expectedPayload(Source, Seeds))
         << "program seed " << ProgramSeed;
   }
 }
@@ -292,7 +284,7 @@ TEST(Serve, MalformedRequestsGetTypedErrorsAndServerSurvives) {
       {"{\"cmd\":\"analyze\",\"source\":\"print(1);\",\"source\":\"x\","
        "\"path\":\"y\"}", "bad_request"},        // Both source and path.
       {"{\"cmd\":\"analyze\",\"source\":\"print(1);\","
-       "\"engine\":\"quantum\"}", "bad_request"}, // Unknown engine.
+       "\"engine\":\"quantum\"}", "bad_request"}, // Unknown member.
       {"{\"cmd\":\"analyze\",\"source\":\"print(1);\","
        "\"inject_fault\":\"bogus\"}", "bad_request"}, // Bad injector spec.
       {"{\"id\":{},\"cmd\":\"ping\"}", "bad_request"}, // Non-scalar id.
@@ -314,8 +306,11 @@ TEST(Serve, MalformedRequestsGetTypedErrorsAndServerSurvives) {
   // Too many seeds.
   std::string ManySeeds = "{\"cmd\":\"analyze\",\"source\":\"print(1);\","
                           "\"seeds\":[";
-  for (int I = 0; I < 100; ++I)
-    ManySeeds += (I ? "," : "") + std::to_string(I + 1);
+  for (int I = 0; I < 100; ++I) {
+    if (I)
+      ManySeeds += ',';
+    ManySeeds += std::to_string(I + 1);
+  }
   ManySeeds += "]}";
   Resp = C.roundTrip(ManySeeds);
   EXPECT_TRUE(hasErrorKind(Resp, "bad_request"));
@@ -329,8 +324,7 @@ TEST(Serve, MalformedRequestsGetTypedErrorsAndServerSurvives) {
 
   // After the whole hostile corpus, the daemon still serves correctly.
   std::string Good = C.roundTrip(analyzeRequest("print(1);", {1}));
-  EXPECT_EQ(resultOf(Good), expectedPayload("print(1);", {1},
-                                            defaultExecEngine()));
+  EXPECT_EQ(resultOf(Good), expectedPayload("print(1);", {1}));
 }
 
 TEST(Serve, ParseAndProgramErrorsAreTyped) {
@@ -407,8 +401,7 @@ TEST(Serve, PathRequestsAreConfinedToRootAndBounded) {
 
   // Inside the root: served normally.
   std::string Good = C.roundTrip(pathRequest(Ok));
-  EXPECT_EQ(resultOf(Good),
-            expectedPayload("print(1);", {1}, defaultExecEngine()));
+  EXPECT_EQ(resultOf(Good), expectedPayload("print(1);", {1}));
 
   // `..` escapes resolve outside the canonical root and are refused; the
   // file's contents are never reflected back.
@@ -433,7 +426,7 @@ TEST(Serve, PathRequestsAreConfinedToRootAndBounded) {
 
   // The daemon survived the whole hostile tour.
   EXPECT_EQ(resultOf(C.roundTrip(pathRequest(Ok))),
-            expectedPayload("print(1);", {1}, defaultExecEngine()));
+            expectedPayload("print(1);", {1}));
 
   std::remove(Ok.c_str());
   std::remove(Big.c_str());
@@ -456,11 +449,11 @@ TEST(Serve, EightConcurrentClientsGetSingleShotResults) {
        {workloads::figure1(), workloads::figure2(), workloads::figure3(),
         workloads::figure4()})
     Jobs.push_back({analyzeRequest(Source, Seeds),
-                    expectedPayload(Source, Seeds, defaultExecEngine())});
+                    expectedPayload(Source, Seeds)});
   for (uint64_t ProgramSeed : {7u, 23u}) {
     std::string Source = workloads::generateProgram(ProgramSeed);
     Jobs.push_back({analyzeRequest(Source, Seeds),
-                    expectedPayload(Source, Seeds, defaultExecEngine())});
+                    expectedPayload(Source, Seeds)});
   }
 
   constexpr int NumClients = 8;
@@ -498,8 +491,7 @@ TEST(Serve, InjectedFaultDegradesWithoutKillingNeighbors) {
   ASSERT_TRUE(R.ok());
 
   std::string CleanReq = analyzeRequest(workloads::figure2(), {1, 2});
-  std::string CleanExpected =
-      expectedPayload(workloads::figure2(), {1, 2}, defaultExecEngine());
+  std::string CleanExpected = expectedPayload(workloads::figure2(), {1, 2});
   std::string FaultReq = analyzeRequest(workloads::figure2(), {1, 2},
                                         ",\"inject_fault\":\"steps:3\","
                                         "\"no_cache\":true");
@@ -561,8 +553,7 @@ TEST(Serve, OverloadShedsWithTypedResponse) {
 
   // ...and capacity frees up for the shed client to retry.
   std::string Retry = Fast.roundTrip(analyzeRequest("print(1);", {1}));
-  EXPECT_EQ(resultOf(Retry),
-            expectedPayload("print(1);", {1}, defaultExecEngine()));
+  EXPECT_EQ(resultOf(Retry), expectedPayload("print(1);", {1}));
 }
 
 TEST(Serve, GracefulDrainFinishesInFlightWork) {

@@ -6,8 +6,8 @@
 /// (including journal-entry counts — the slim journal still logs every
 /// write for vd/pd marking), executed sets, and exit codes, across every
 /// workload family (paper figures, miniquery, the eval suite's
-/// runtime-compiled overlays, generated fuzz programs), both expression
-/// engines, injected faults, and seed fan-outs at jobs 1 and 8.
+/// runtime-compiled overlays, generated fuzz programs), injected faults,
+/// and seed fan-outs at jobs 1 and 8.
 ///
 /// The snapshot-only counters (SnapshotForks, CowCopies) are deliberately
 /// excluded from the fingerprint: they describe *how* undo was done, not
@@ -40,8 +40,8 @@ Program parseOk(const std::string &Source) {
   return P;
 }
 
-/// Same sweep as the bytecode differential suite: figures, miniquery,
-/// runnable eval-suite overlays, and a band of generated fuzz programs.
+/// The differential corpus: figures, miniquery, runnable eval-suite
+/// overlays, and a band of generated fuzz programs.
 std::vector<std::pair<std::string, std::string>> corpus() {
   std::vector<std::pair<std::string, std::string>> Out;
   Out.emplace_back("figure1", workloads::figure1());
@@ -66,8 +66,8 @@ std::vector<std::pair<std::string, std::string>> corpus() {
 }
 
 /// Everything the undo engines must agree on, rendered to one string so a
-/// divergence shows up as a readable diff. Mirrors the bytecode suite's
-/// fingerprint and adds the serve-layer exit code.
+/// divergence shows up as a readable diff, including the serve-layer exit
+/// code.
 std::string undoFingerprint(const AnalysisResult &R) {
   std::ostringstream OS;
   OS << "ok=" << R.Ok << " trap=" << static_cast<int>(R.Trap)
@@ -88,10 +88,9 @@ std::string undoFingerprint(const AnalysisResult &R) {
   return OS.str();
 }
 
-AnalysisOptions undoOptions(UndoEngine Undo, ExecEngine Engine) {
+AnalysisOptions undoOptions(UndoEngine Undo) {
   AnalysisOptions Opts;
   Opts.Undo = Undo;
-  Opts.Engine = Engine;
   Opts.RecordAllExpressions = true; // Max-coverage fact surface.
   return Opts;
 }
@@ -99,22 +98,19 @@ AnalysisOptions undoOptions(UndoEngine Undo, ExecEngine Engine) {
 class SnapshotDifferentialTest
     : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
-/// Core contract: for every corpus program and both expression engines,
-/// snapshot undo and journal undo produce byte-identical results.
+/// Core contract: for every corpus program, snapshot undo and journal undo
+/// produce byte-identical results.
 TEST_P(SnapshotDifferentialTest, SnapshotMatchesJournal) {
   const std::string &Source = GetParam().second;
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    Program PS = parseOk(Source);
-    AnalysisResult Snap =
-        runDeterminacyAnalysis(PS, undoOptions(UndoEngine::Snapshot, Engine));
+  Program PS = parseOk(Source);
+  AnalysisResult Snap =
+      runDeterminacyAnalysis(PS, undoOptions(UndoEngine::Snapshot));
 
-    Program PJ = parseOk(Source);
-    AnalysisResult Jour =
-        runDeterminacyAnalysis(PJ, undoOptions(UndoEngine::Journal, Engine));
+  Program PJ = parseOk(Source);
+  AnalysisResult Jour =
+      runDeterminacyAnalysis(PJ, undoOptions(UndoEngine::Journal));
 
-    EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour))
-        << "engine=" << execEngineName(Engine);
-  }
+  EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour));
 }
 
 /// Injected budget faults must trip at the same checkpoint and degrade to
@@ -122,24 +118,21 @@ TEST_P(SnapshotDifferentialTest, SnapshotMatchesJournal) {
 TEST_P(SnapshotDifferentialTest, InjectedFaultAgreement) {
   const std::string &Source = GetParam().second;
   std::string Error;
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    auto SnapInj = FaultInjector::parse("steps:300", &Error);
-    ASSERT_TRUE(SnapInj) << Error;
-    AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot, Engine);
-    SnapOpts.Injector = &*SnapInj;
-    Program PS = parseOk(Source);
-    AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
+  auto SnapInj = FaultInjector::parse("steps:300", &Error);
+  ASSERT_TRUE(SnapInj) << Error;
+  AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot);
+  SnapOpts.Injector = &*SnapInj;
+  Program PS = parseOk(Source);
+  AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
 
-    auto JourInj = FaultInjector::parse("steps:300", &Error);
-    ASSERT_TRUE(JourInj) << Error;
-    AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal, Engine);
-    JourOpts.Injector = &*JourInj;
-    Program PJ = parseOk(Source);
-    AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
+  auto JourInj = FaultInjector::parse("steps:300", &Error);
+  ASSERT_TRUE(JourInj) << Error;
+  AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal);
+  JourOpts.Injector = &*JourInj;
+  Program PJ = parseOk(Source);
+  AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
 
-    EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour))
-        << "engine=" << execEngineName(Engine);
-  }
+  EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -156,7 +149,7 @@ TEST(SnapshotParallel, MergedFactsIndependentOfUndoAndJobs) {
 
   auto Run = [&](UndoEngine Undo, unsigned Jobs) {
     Program P = parseOk(Source);
-    AnalysisOptions Opts = undoOptions(Undo, ExecEngine::Bytecode);
+    AnalysisOptions Opts = undoOptions(Undo);
     AnalysisResult R = runDeterminacyAnalysisParallel(P, Opts, Seeds, Jobs);
     EXPECT_TRUE(R.Ok) << R.Error;
     return undoFingerprint(R);
@@ -167,8 +160,8 @@ TEST(SnapshotParallel, MergedFactsIndependentOfUndoAndJobs) {
   EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 8));
 }
 
-/// Multi-class injected faults on a call-heavy program: the dedicated
-/// sweep the bytecode suite runs, here across undo engines.
+/// Multi-class injected faults on a call-heavy program, across undo
+/// engines.
 TEST(SnapshotGovernor, InjectedFaultClassesMatchJournal) {
   const std::string Source = workloads::miniquery(1);
   for (const char *Spec :
@@ -176,16 +169,14 @@ TEST(SnapshotGovernor, InjectedFaultClassesMatchJournal) {
     std::string Error;
     auto SnapInj = FaultInjector::parse(Spec, &Error);
     ASSERT_TRUE(SnapInj) << Error;
-    AnalysisOptions SnapOpts =
-        undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+    AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot);
     SnapOpts.Injector = &*SnapInj;
     Program PS = parseOk(Source);
     AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
 
     auto JourInj = FaultInjector::parse(Spec, &Error);
     ASSERT_TRUE(JourInj) << Error;
-    AnalysisOptions JourOpts =
-        undoOptions(UndoEngine::Journal, ExecEngine::Bytecode);
+    AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal);
     JourOpts.Injector = &*JourInj;
     Program PJ = parseOk(Source);
     AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
@@ -218,14 +209,12 @@ const char *kNestedBranches =
 
 TEST(SnapshotUndo, NestedBranchesMatchJournalAcrossSeeds) {
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-    AnalysisOptions SnapOpts =
-        undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+    AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot);
     SnapOpts.RandomSeed = Seed;
     Program PS = parseOk(kNestedBranches);
     AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
 
-    AnalysisOptions JourOpts =
-        undoOptions(UndoEngine::Journal, ExecEngine::Bytecode);
+    AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal);
     JourOpts.RandomSeed = Seed;
     Program PJ = parseOk(kNestedBranches);
     AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
@@ -278,7 +267,7 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   // Unlimited budget first: establish that this workload does fork
   // snapshots and save pre-images.
   Program PFree = parseOk(Source);
-  AnalysisOptions Free = undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+  AnalysisOptions Free = undoOptions(UndoEngine::Snapshot);
   AnalysisResult RFree = runDeterminacyAnalysis(PFree, Free);
   ASSERT_TRUE(RFree.Ok) << RFree.Error;
   EXPECT_GT(RFree.Stats.SnapshotForks, 0u);
@@ -287,8 +276,8 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   // The journal engine undoes the same branches by replay: it never forks
   // a snapshot frame or copies a pre-image.
   Program PJour = parseOk(Source);
-  AnalysisResult RJour = runDeterminacyAnalysis(
-      PJour, undoOptions(UndoEngine::Journal, ExecEngine::Bytecode));
+  AnalysisResult RJour =
+      runDeterminacyAnalysis(PJour, undoOptions(UndoEngine::Journal));
   ASSERT_TRUE(RJour.Ok) << RJour.Error;
   EXPECT_EQ(RJour.Stats.SnapshotForks, 0u);
   EXPECT_EQ(RJour.Stats.CowCopies, 0u);
@@ -296,8 +285,7 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   // Now a ceiling well under the free run's save count: the governor must
   // trip on the COW charges and degrade soundly.
   Program PTight = parseOk(Source);
-  AnalysisOptions Tight =
-      undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+  AnalysisOptions Tight = undoOptions(UndoEngine::Snapshot);
   Tight.MaxHeapCells = 120;
   AnalysisResult RTight = runDeterminacyAnalysis(PTight, Tight);
   ASSERT_TRUE(RTight.Ok) << RTight.Error;

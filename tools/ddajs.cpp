@@ -97,9 +97,6 @@ int usage() {
       "                     identical for every N)\n"
       "  --batch DIR        analyze: process every DIR/*.js concurrently;\n"
       "                     exit code is the worst per-file code\n"
-      "  --engine E         expression engine: bytecode (default) or tree\n"
-      "                     (the tree-walk reference semantics; also via\n"
-      "                     DDA_ENGINE env)\n"
       "  --undo E           counterfactual undo engine: snapshot (default;\n"
       "                     copy-on-write arena snapshots, O(1) fork) or\n"
       "                     journal (reverse-replay reference oracle);\n"
@@ -155,7 +152,6 @@ struct Options {
   unsigned Seeds = 1;
   std::vector<uint64_t> SeedList; ///< --seeds a,b,c (overrides Seeds).
   unsigned Jobs = 1;              ///< --jobs: 0 = one per hardware thread.
-  ExecEngine Engine = defaultExecEngine();
   UndoEngine Undo = UndoEngine::Snapshot;
   bool DetDom = false;
   uint64_t MaxSteps = 50'000'000;
@@ -253,12 +249,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!V)
         return false;
       Opts.BatchDir = V;
-    } else if (Arg == "--engine") {
-      const char *V = Next();
-      if (!V || !parseExecEngine(V, Opts.Engine)) {
-        std::fprintf(stderr, "ddajs: --engine expects 'bytecode' or 'tree'\n");
-        return false;
-      }
     } else if (Arg == "--undo") {
       const char *V = Next();
       if (!V) {
@@ -435,7 +425,6 @@ AnalysisOptions analysisOptions(Options &Opts) {
   AnalysisOptions AOpts;
   AOpts.RandomSeed = Opts.Seed;
   AOpts.DomSeed = Opts.DomSeed;
-  AOpts.Engine = Opts.Engine;
   AOpts.DeterminateDom = Opts.DetDom;
   AOpts.MaxSteps = Opts.MaxSteps;
   AOpts.DeadlineMs = Opts.DeadlineMs;
@@ -486,7 +475,6 @@ int cmdRun(const std::string &Source, Options &Opts) {
   InterpOptions IOpts;
   IOpts.RandomSeed = Opts.Seed;
   IOpts.DomSeed = Opts.DomSeed;
-  IOpts.Engine = Opts.Engine;
   IOpts.MaxSteps = Opts.MaxSteps;
   IOpts.DeadlineMs = Opts.DeadlineMs;
   IOpts.MaxHeapCells = Opts.MaxHeapCells;
@@ -609,7 +597,7 @@ int cmdBatch(Options &Opts) {
   for (const auto &[File, Idx] : Emit) {
     const AnalysisResult &R = Results[Idx];
     std::puts(
-        batchLine(File, serve::analysisPayloadJson(R, Opts.Engine, Seeds))
+        batchLine(File, serve::analysisPayloadJson(R, AOpts.Engine, Seeds))
             .c_str());
     Worst = std::max(Worst, serve::analysisExitCode(R));
   }
@@ -637,7 +625,6 @@ int cmdServe(Options &Opts) {
   SOpts.MaxRequestBytes = Opts.MaxRequestBytes;
   SOpts.CacheAsts = Opts.CacheAsts;
   SOpts.CacheResults = Opts.CacheResults;
-  SOpts.Engine = Opts.Engine;
   SOpts.DetDom = Opts.DetDom;
   SOpts.DomSeed = Opts.DomSeed;
   SOpts.Injector = Opts.Injector;

@@ -4,9 +4,9 @@
 Spawns the daemon, then drives mixed traffic from several concurrent
 clients for a configurable duration:
 
-  * valid analysis requests over a small MiniJS corpus (both engines),
-    whose fact fingerprints are cross-checked against `ddajs analyze
-    --batch` single-shot runs of the same corpus;
+  * valid analysis requests over a small MiniJS corpus, whose fact
+    fingerprints are cross-checked against `ddajs analyze --batch`
+    single-shot runs of the same corpus;
   * malformed requests (truncated JSON, wrong types, unknown members,
     huge payloads, bad seed lists) that must produce typed errors;
   * budget-exhausting requests (unbounded loops under a small deadline);
@@ -125,11 +125,11 @@ def recv_line(sock, buf):
     return line.decode("utf-8", "replace")
 
 
-def batch_fingerprints(ddajs, corpus_dir, engine):
+def batch_fingerprints(ddajs, corpus_dir):
     """Single-shot reference run: {basename: payload-dict} via --batch."""
     out = subprocess.run(
         [ddajs, "analyze", "--batch", corpus_dir, "--seeds",
-         ",".join(map(str, SEEDS)), "--engine", engine],
+         ",".join(map(str, SEEDS))],
         capture_output=True, text=True, timeout=120)
     results = {}
     for line in out.stdout.splitlines():
@@ -161,12 +161,11 @@ def client_loop(tid, port, deadline, reference, failures, counters):
         rid += 1
         kind = rng.randrange(20)
         expect_fp = None
-        if kind < 10:  # Valid corpus request, either engine.
+        if kind < 10:  # Valid corpus request.
             name = rng.choice(names)
-            engine = rng.choice(["bytecode", "tree"])
             req = {"id": f"c{tid}-{rid}", "cmd": "analyze",
-                   "source": CORPUS[name], "seeds": SEEDS, "engine": engine}
-            ref = reference[engine].get(name)
+                   "source": CORPUS[name], "seeds": SEEDS}
+            ref = reference.get(name)
             if ref is not None and ref.get("status") == "ok":
                 expect_fp = ref["fingerprint"]
         elif kind < 14:  # Malformed.
@@ -278,16 +277,15 @@ def main():
             with open(os.path.join(corpus_dir, name), "w") as f:
                 f.write(source)
 
-        # Single-shot reference fingerprints, per engine, via --batch.
-        reference = {e: batch_fingerprints(args.ddajs, corpus_dir, e)
-                     for e in ("bytecode", "tree")}
-        for engine, ref in reference.items():
-            missing = [n for n in CORPUS
-                       if n not in ref and not n.startswith(("parse_", "program_"))]
-            if missing:
-                print(f"FAIL: --batch produced no result for {missing} "
-                      f"({engine})", file=sys.stderr)
-                return 1
+        # Single-shot reference fingerprints via --batch.
+        reference = batch_fingerprints(args.ddajs, corpus_dir)
+        missing = [n for n in CORPUS
+                   if n not in reference
+                   and not n.startswith(("parse_", "program_"))]
+        if missing:
+            print(f"FAIL: --batch produced no result for {missing}",
+                  file=sys.stderr)
+            return 1
 
         daemon = subprocess.Popen(
             [args.ddajs, "serve", "--port", "0", "--jobs", str(args.jobs),
