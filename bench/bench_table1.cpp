@@ -43,6 +43,13 @@ struct Cell {
   uint64_t HeapCells = 0;
   double Millis = 0;
 
+  /// Everything but the timing: what must not depend on the jobs value.
+  bool sameOutcome(const Cell &O) const {
+    return Completed == O.Completed && Steps == O.Steps &&
+           Flushes == O.Flushes && FlushLimitHit == O.FlushLimitHit &&
+           HeapCells == O.HeapCells;
+  }
+
   std::string str(bool WithFlushes) const {
     std::string Out = Completed ? "yes" : "NO ";
     if (WithFlushes) {
@@ -96,7 +103,7 @@ Cell runConfig(const std::string &Source, bool Specialize, bool DetDom) {
 /// The 12 table cells (4 versions x 3 configs) are independent — each
 /// runConfig parses its own Program — so they fan out across a pool.
 /// Cells land in a slot keyed by (version, config); the rendered table is
-/// identical for every jobs value.
+/// identical for every jobs value (runJobsSweep checks it).
 std::vector<Cell> runAllCells(unsigned Jobs) {
   std::vector<Cell> Cells(12);
   ThreadPool::parallelFor(Jobs, Cells.size(), [&](size_t I) {
@@ -113,7 +120,7 @@ int runJobsSweep(const char *JsonPath) {
   std::printf("Table 1 cell fan-out sweep: 12 cells, jobs 1/2/4/8 "
               "(host has %u hardware threads)\n\n",
               ThreadPool::hardwareWorkers());
-  TextTable T({"jobs", "wall ms", "speedup"});
+  TextTable T({"jobs", "wall ms", "speedup", "cells = jobs 1"});
   double BaselineMs = 0;
   struct Row {
     unsigned Jobs;
@@ -121,25 +128,35 @@ int runJobsSweep(const char *JsonPath) {
     double Speedup;
   };
   std::vector<Row> Rows;
+  std::vector<Cell> Baseline;
+  bool AllIdentical = true;
   uint64_t HeapCellsTotal = 0;
   for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
     auto Start = std::chrono::steady_clock::now();
     std::vector<Cell> Cells = runAllCells(Jobs);
-    HeapCellsTotal = 0;
-    for (const Cell &C : Cells)
-      HeapCellsTotal += C.HeapCells;
     double Ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
-    if (Jobs == 1)
+    HeapCellsTotal = 0;
+    for (const Cell &C : Cells)
+      HeapCellsTotal += C.HeapCells;
+    if (Jobs == 1) {
       BaselineMs = Ms;
+      Baseline = Cells;
+    }
+    bool Identical = true;
+    for (size_t I = 0; I < Cells.size(); ++I)
+      Identical = Identical && Cells[I].sameOutcome(Baseline[I]);
+    AllIdentical = AllIdentical && Identical;
     Rows.push_back({Jobs, Ms, BaselineMs / Ms});
     char MsBuf[32], SpBuf[32];
     std::snprintf(MsBuf, sizeof(MsBuf), "%.1f", Ms);
     std::snprintf(SpBuf, sizeof(SpBuf), "%.2fx", BaselineMs / Ms);
-    T.addRow({std::to_string(Jobs), MsBuf, SpBuf});
+    T.addRow({std::to_string(Jobs), MsBuf, SpBuf, Identical ? "yes" : "NO"});
   }
   std::printf("%s\n", T.str().c_str());
+  std::printf("cells across jobs values: %s\n",
+              AllIdentical ? "identical" : "DIVERGED");
 
   if (JsonPath) {
     FILE *F = std::fopen(JsonPath, "w");
@@ -149,8 +166,10 @@ int runJobsSweep(const char *JsonPath) {
     }
     std::fprintf(F,
                  "{\n  \"bench\": \"table1_jobs_sweep\",\n  \"cells\": 12,\n"
-                 "  \"host_cpus\": %u,\n  \"runs\": [\n",
-                 ThreadPool::hardwareWorkers());
+                 "  \"host_cpus\": %u,\n  \"cells_identical\": %s,\n"
+                 "  \"runs\": [\n",
+                 ThreadPool::hardwareWorkers(),
+                 AllIdentical ? "true" : "false");
     for (size_t I = 0; I < Rows.size(); ++I)
       std::fprintf(F,
                    "    {\"jobs\": %u, \"wall_ms\": %.3f, \"speedup\": "
@@ -164,7 +183,7 @@ int runJobsSweep(const char *JsonPath) {
                  bench::peakRssKb());
     std::fclose(F);
   }
-  return 0;
+  return AllIdentical ? 0 : 1;
 }
 
 } // namespace

@@ -166,7 +166,9 @@ std::string Printer::exprNoParens(const Expr *E) {
   }
   case NodeKind::New: {
     const auto *C = cast<NewExpr>(E);
-    std::string Out = "new " + expr(C->getCallee(), PrecPostfix) + "(";
+    std::string Out = "new ";
+    Out += expr(C->getCallee(), PrecPostfix);
+    Out += '(';
     for (size_t I = 0; I < C->getArgs().size(); ++I) {
       if (I)
         Out += ", ";
@@ -304,8 +306,10 @@ std::string Printer::stmt(const Stmt *S, unsigned Indent) {
       if (I)
         Out += ", ";
       Out += Decls[I].Name;
-      if (Decls[I].Init)
-        Out += " = " + expr(Decls[I].Init, PrecAssign);
+      if (Decls[I].Init) {
+        Out += " = ";
+        Out += expr(Decls[I].Init, PrecAssign);
+      }
     }
     return Out + ";\n";
   }

@@ -20,11 +20,6 @@ size_t countStatements(const Node *N) {
   return Count;
 }
 
-/// The merged condition fact over all observed contexts (FactDB::uniform).
-const FactValue *uniformCondition(const AnalysisResult &A, NodeID Node) {
-  return A.Facts.uniform(FactKind::Condition, Node);
-}
-
 } // namespace
 
 DeadCodeResult dda::findDeadCode(const Program &P,
@@ -39,9 +34,11 @@ DeadCodeResult dda::findDeadCode(const Program &P,
   // Regions nested inside an already-dead region are not double-counted:
   // we collect top-down and skip descendants of reported branches.
   std::vector<const Stmt *> Dead;
+  // The merged condition fact over all observed contexts.
+  const UniformFacts Uniform(Analysis.Facts);
   std::function<void(const Node *)> Visit = [&](const Node *N) {
     if (const auto *If = dyn_cast<IfStmt>(N)) {
-      const FactValue *Cond = uniformCondition(Analysis, If->getID());
+      const FactValue *Cond = Uniform.get(FactKind::Condition, If->getID());
       if (Cond && Cond->K == FactValue::Boolean) {
         const Stmt *Untaken = Cond->B ? If->getElse() : If->getThen();
         if (Untaken) {

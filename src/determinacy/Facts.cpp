@@ -121,12 +121,18 @@ std::string FactValue::str() const {
     Out += '"';
     return Out;
   }
-  case Function:
-    return "function@" + std::to_string(Node);
+  case Function: {
+    std::string Out = "function@";
+    Out += std::to_string(Node);
+    return Out;
+  }
   case Native:
     return std::string("native:") + nativeInfo(NativeID).Name;
-  case Object:
-    return "object@" + std::to_string(Node);
+  case Object: {
+    std::string Out = "object@";
+    Out += std::to_string(Node);
+    return Out;
+  }
   }
   return "?";
 }
@@ -144,18 +150,14 @@ const FactValue *FactDB::query(const FactKey &Key) const {
   return It == Facts.end() ? nullptr : &It->second;
 }
 
-const FactValue *FactDB::uniform(FactKind Kind, NodeID Node) const {
-  const FactValue *Found = nullptr;
-  for (const auto &[Key, Val] : Facts) {
-    if (Key.Node != Node || Key.Kind != Kind)
-      continue;
-    if (!Val.isDeterminate())
-      return nullptr;
-    if (Found && !Found->sameAs(Val))
-      return nullptr;
-    Found = &Val;
+UniformFacts::UniformFacts(const FactDB &DB) {
+  for (const auto &[Key, Val] : DB.all()) {
+    const FactValue *Merged = Val.isDeterminate() ? &Val : nullptr;
+    auto [It, Inserted] = Index.try_emplace(key(Key.Kind, Key.Node), Merged);
+    // Once null, a point stays null; otherwise the last agreeing value wins.
+    if (!Inserted && It->second)
+      It->second = Merged && It->second->sameAs(Val) ? Merged : nullptr;
   }
-  return Found;
 }
 
 void FactDB::merge(const FactDB &Other) {

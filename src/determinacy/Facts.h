@@ -122,9 +122,11 @@ class FactDB {
 public:
   /// Open-addressing table: fact recording is the single hottest map
   /// operation on the per-step path (every condition, callee, and argument
-  /// observation probes it). Iteration order is arbitrary; `dump()` sorts,
-  /// and all iterating clients (merge, uniform, counts, the specializer's
-  /// scans) are order-insensitive — see the FactDBDeterminism test.
+  /// observation probes it). Iteration order is arbitrary but a pure
+  /// function of the insertion history; `dump()` sorts, and merge, counts
+  /// and the specializer's scans are order-insensitive — see the
+  /// FactDBDeterminism test. UniformFacts is the one order-sensitive
+  /// reader: of several agreeing values (`0` and `-0`) it keeps the last.
   using Map = FlatMap<FactKey, FactValue, FactKeyHash>;
 
   /// Records an observation; merges with any prior fact at the same key.
@@ -159,13 +161,6 @@ public:
     return query({E, Ctx, FactKind::Expression, 0});
   }
 
-  /// The *context-free* (shallow) merge of every observation at
-  /// (Kind, Node): a determinate value only if all observed contexts agree
-  /// and none is indeterminate, else null. This is the paper's future-work
-  /// direction of "inferring determinacy facts with shallower calling
-  /// contexts": sound because it is the meet over all full-context facts.
-  const FactValue *uniform(FactKind Kind, NodeID Node) const;
-
   /// Merges another database into this one (running the analysis on more
   /// inputs "yields more facts, which are all sound and hence can be used
   /// together" — paper Section 7). Points observed in both merge by value;
@@ -184,6 +179,37 @@ public:
 
 private:
   Map Facts;
+};
+
+/// The *context-free* (shallow) merge of every observation at each
+/// (Kind, Node), over all contexts and argument indices: a determinate value
+/// only if all observations agree and none is indeterminate, else null. This
+/// is the paper's future-work direction of "inferring determinacy facts with
+/// shallower calling contexts": sound because it is the meet over all
+/// full-context facts.
+///
+/// Built in one pass over the database in its iteration order, so a lookup
+/// costs one probe instead of a scan of every fact. Of several agreeing
+/// values the last in that order wins. The index points into \p DB, which
+/// must outlive it and must not change while it is in use.
+class UniformFacts {
+public:
+  explicit UniformFacts(const FactDB &DB);
+
+  /// The merged value at (Kind, Node), or null if the point was never
+  /// observed, or any observation is indeterminate or disagrees.
+  const FactValue *get(FactKind Kind, NodeID Node) const {
+    auto It = Index.find(key(Kind, Node));
+    return It == Index.end() ? nullptr : It->second;
+  }
+
+private:
+  static uint64_t key(FactKind Kind, NodeID Node) {
+    return (static_cast<uint64_t>(Node) << 8) | static_cast<uint8_t>(Kind);
+  }
+
+  /// Null marks a point whose observations disagree or are indeterminate.
+  FlatMap<uint64_t, const FactValue *> Index;
 };
 
 } // namespace dda

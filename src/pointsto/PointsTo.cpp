@@ -1,15 +1,29 @@
 //===- PointsTo.cpp -------------------------------------------------------==//
+///
+/// Solver layout. Constraint variables are dense ids with their state in
+/// parallel arrays: a points-to row and a processed row (bitsets over
+/// abstract objects, each sized by its highest word), a successor list, a
+/// trigger list and a worklist flag. Rows and lists live in shared pools
+/// (`Pool`), so a run makes a handful of allocations instead of several per
+/// variable. Names are the parser's interned atoms.
+///
+/// Propagation order is part of the result. A run that stops at the step
+/// budget reports the state it reached, so the solver keeps one order of
+/// insertions: a FIFO worklist, each variable's triggers and successors in
+/// insertion order, and objects in ascending id. Unions go a word at a time
+/// and fall back to single bits only in the word where the budget trips, so
+/// the trip lands on the same object as a bit-by-bit loop would.
+///
+//===----------------------------------------------------------------------===//
 
 #include "pointsto/PointsTo.h"
 
 #include "ast/ASTWalk.h"
 #include "interp/Builtins.h"
+#include "support/FlatMap.h"
 
+#include <algorithm>
 #include <cassert>
-#include <deque>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace dda;
 
@@ -17,43 +31,45 @@ namespace {
 
 using AbsObj = uint32_t;
 using VarID = uint32_t;
+/// A field is named by its atom (`StringId::Raw`).
 using FieldID = uint32_t;
 
-/// Grow-on-demand bitset over abstract objects.
-class Bits {
-public:
-  bool test(AbsObj O) const {
-    size_t W = O >> 6;
-    return W < Words.size() && (Words[W] >> (O & 63)) & 1;
-  }
-  bool set(AbsObj O) {
-    size_t W = O >> 6;
-    if (W >= Words.size())
-      Words.resize(W + 1, 0);
-    uint64_t Mask = 1ULL << (O & 63);
-    if (Words[W] & Mask)
-      return false;
-    Words[W] |= Mask;
-    ++Count;
-    return true;
-  }
-  size_t count() const { return Count; }
-  bool empty() const { return Count == 0; }
+constexpr VarID NoVar = ~VarID(0);
+/// Successor lists shorter than this are scanned for duplicate edges.
+constexpr uint32_t ScanLimit = 64;
 
-  template <typename Fn> void forEach(Fn F) const {
-    for (size_t W = 0; W < Words.size(); ++W) {
-      uint64_t Bits = Words[W];
-      while (Bits) {
-        unsigned B = __builtin_ctzll(Bits);
-        F(static_cast<AbsObj>((W << 6) + B));
-        Bits &= Bits - 1;
-      }
-    }
+/// A growable list inside a shared pool: items `[Off, Off + Len)`, with
+/// `[Len, Cap)` value-initialized spare room.
+struct Span {
+  uint32_t Off = 0, Len = 0, Cap = 0;
+};
+
+/// Backing store for many Spans. A list that outgrows its slot moves to the
+/// end of the pool with doubled capacity; the old slot is abandoned, which
+/// costs at most the live size again.
+template <typename T> class Pool {
+public:
+  T *data(const Span &S) { return Items.data() + S.Off; }
+  T &at(const Span &S, uint32_t I) { return Items[S.Off + I]; }
+
+  void reserve(Span &S, uint32_t N) {
+    if (N <= S.Cap)
+      return;
+    uint32_t NewCap = std::max(N, S.Cap * 2);
+    auto Off = static_cast<uint32_t>(Items.size());
+    Items.resize(Off + NewCap);
+    std::copy_n(Items.begin() + S.Off, S.Len, Items.begin() + Off);
+    S.Off = Off;
+    S.Cap = NewCap;
+  }
+
+  void push(Span &S, T V) {
+    reserve(S, S.Len + 1);
+    Items[S.Off + S.Len++] = V;
   }
 
 private:
-  std::vector<uint64_t> Words;
-  size_t Count = 0;
+  std::vector<T> Items;
 };
 
 /// What an abstract object denotes.
@@ -71,6 +87,69 @@ struct AbstractObject {
   const char *Name = "";
 };
 
+/// Per syntactic function: scope parent, abstract objects, and the lazily
+/// created return and `this` variables.
+struct FunctionInfo {
+  const FunctionExpr *Parent = nullptr;
+  AbsObj Obj = 0;
+  AbsObj Proto = 0;
+  VarID Ret = NoVar;
+  VarID This = NoVar;
+  bool Generated = false;
+};
+
+/// A name in the scope of a function (null = global scope).
+struct ScopedName {
+  const FunctionExpr *Fn;
+  StringId Name;
+  bool operator==(const ScopedName &O) const {
+    return Fn == O.Fn && Name == O.Name;
+  }
+};
+struct ScopedNameHash {
+  uint64_t operator()(const ScopedName &K) const {
+    return splitmix64(reinterpret_cast<uintptr_t>(K.Fn) *
+                          0x9E3779B97F4A7C15ull ^
+                      K.Name.Raw);
+  }
+};
+
+/// Deferred constraint on the objects of a variable. Call arguments live in
+/// Analysis::ArgPool.
+struct Trigger {
+  enum Kind : uint8_t { Load, LoadAll, Store, StoreStar, Call } K = Load;
+  bool IsNew = false;
+  FieldID Field = 0;
+  VarID Other = 0; ///< dst for loads, src for stores.
+  // Call payload:
+  NodeID CallNode = 0;
+  VarID Result = 0;
+  VarID Receiver = 0; ///< 0 = none.
+  uint32_t ArgOff = 0, NumArgs = 0;
+};
+
+/// Identity of a trigger on a variable: two triggers with the same key
+/// would add the same constraints.
+struct TriggerKey {
+  VarID Var;
+  uint32_t Kind;
+  FieldID Field;
+  VarID Other;
+  NodeID CallNode;
+  VarID Result;
+  bool operator==(const TriggerKey &O) const {
+    return Var == O.Var && Kind == O.Kind && Field == O.Field &&
+           Other == O.Other && CallNode == O.CallNode && Result == O.Result;
+  }
+};
+struct TriggerKeyHash {
+  uint64_t operator()(const TriggerKey &K) const {
+    uint64_t H = splitmix64((static_cast<uint64_t>(K.Var) << 32) | K.Other);
+    H = splitmix64(H ^ ((static_cast<uint64_t>(K.Field) << 32) | K.Result));
+    return splitmix64(H ^ ((static_cast<uint64_t>(K.CallNode) << 8) | K.Kind));
+  }
+};
+
 struct Analysis {
   const Program &Prog;
   const PointsToOptions &Opts;
@@ -78,162 +157,127 @@ struct Analysis {
 
   // --- Abstract object universe (pre-enumerated) -------------------------
   std::vector<AbstractObject> Objects;
-  std::unordered_map<const FunctionExpr *, AbsObj> FunctionObjs;
-  std::unordered_map<const FunctionExpr *, AbsObj> ProtoObjs;
-  std::unordered_map<NodeID, AbsObj> SiteObjs;
-  std::unordered_map<uint16_t, AbsObj> NativeObjs;
+  FlatMap<const FunctionExpr *, FunctionInfo> Functions;
+  FlatMap<NodeID, AbsObj> SiteObjs;
+  FlatMap<NativeFn, AbsObj> NativeObjs;
   AbsObj WindowObj = 0, DocumentObj = 0, DomElementObj = 0, MathObj = 0,
          ConsoleObj = 0, ObjectCtorObj = 0, ArrayCtorObj = 0,
          StringProtoObj = 0, ArrayProtoObj = 0, ObjectProtoObj = 0,
          NativeArrayObj = 0, StringPrimObj = 0;
 
-  // --- Constraint variables ------------------------------------------------
-  std::vector<Bits> PointsTo;
-  std::vector<Bits> Processed;
-  std::vector<std::vector<VarID>> Succ;
+  // --- Constraint variables (struct of arrays) ------------------------------
+  std::vector<Span> PointsTo;  ///< Rows in Words.
+  std::vector<Span> Processed; ///< Rows in Words: objects already handled.
+  std::vector<Span> Succ;      ///< Lists in SuccPool.
+  std::vector<Span> SuccBits;  ///< Rows in Words, for wide fan-outs.
+  std::vector<Span> Triggers;  ///< Lists in TriggerPool.
+  std::vector<uint8_t> InWorklist;
+  Pool<uint64_t> Words;
+  Pool<VarID> SuccPool;
+  Pool<Trigger> TriggerPool;
+  std::vector<VarID> ArgPool;
+  FlatSet<TriggerKey, TriggerKeyHash> TriggerKeys;
 
-  std::unordered_map<NodeID, VarID> ExprVars;
-  // Locals keyed by (function | null, name).
-  std::unordered_map<const FunctionExpr *,
-                     std::unordered_map<std::string, VarID>>
-      LocalVars;
-  std::unordered_map<const FunctionExpr *, VarID> RetVars;
-  std::unordered_map<const FunctionExpr *, VarID> ThisVars;
-  std::unordered_map<uint64_t, VarID> FieldVars; // (AbsObj<<20 | FieldID)
+  FlatMap<NodeID, VarID> ExprVars;
+  FlatMap<ScopedName, VarID, ScopedNameHash> LocalVars;
+  FlatMap<uint64_t, VarID> FieldVars; // (AbsObj << 32 | FieldID)
   VarID ThrownVar = 0;
 
   // --- Field names -----------------------------------------------------------
-  static constexpr FieldID StarField = 0;
-  static constexpr FieldID ProtoField = 1;
-  std::unordered_map<std::string, FieldID> FieldIDs;
-  std::vector<std::pair<FieldID, VarID>> FieldsOfTmp;
+  const FieldID StarField = intern("*").Raw;
+  const FieldID ProtoField = intern("__proto__").Raw;
+  const FieldID PrototypeField = atoms().Prototype.Raw;
+  const FieldID ConstructorField = atoms().Constructor.Raw;
   // Per object: created (field, var) pairs and pending load-all sinks.
-  std::unordered_map<AbsObj, std::vector<std::pair<FieldID, VarID>>> ObjFields;
-  std::unordered_map<AbsObj, std::vector<VarID>> LoadAllSinks;
-
-  // --- Deferred constraints ("triggers") -------------------------------------
-  struct Trigger {
-    enum Kind : uint8_t { Load, LoadAll, Store, StoreStar, Call } K;
-    FieldID Field = 0;
-    VarID Other = 0;        ///< dst for loads, src for stores.
-    // Call payload:
-    NodeID CallNode = 0;
-    std::vector<VarID> Args;
-    VarID Result = 0;
-    VarID Receiver = 0; ///< 0 = none.
-    bool IsNew = false;
-  };
-  std::vector<std::vector<Trigger>> Triggers;
-  std::vector<std::unordered_set<uint64_t>> TriggerKeys;
+  std::vector<Span> ObjFields; ///< Lists in FieldPool.
+  std::vector<Span> LoadAllSinks; ///< Lists in SinkPool.
+  Pool<std::pair<FieldID, VarID>> FieldPool;
+  Pool<VarID> SinkPool;
 
   // --- Scope information ------------------------------------------------------
-  std::unordered_map<const FunctionExpr *, const FunctionExpr *> ParentFn;
-  std::unordered_map<const FunctionExpr *,
-                     std::unordered_set<std::string>>
-      DeclaredNames;
-  std::unordered_set<const FunctionExpr *> Generated;
-  std::unordered_map<NodeID, VarID> CallSiteCalleeVar;
+  FlatSet<ScopedName, ScopedNameHash> DeclaredNames;
+  FlatMap<NodeID, VarID> CallSiteCalleeVar;
 
-  std::deque<VarID> Worklist;
-  std::vector<bool> InWorklist;
+  std::vector<VarID> Worklist; ///< FIFO from WorklistHead.
+  size_t WorklistHead = 0;
+  std::vector<uint64_t> SnapshotStack; ///< addTrigger's row copies.
+  std::vector<AbsObj> Delta;
   uint64_t Steps = 0;
   bool Budget = true;
 
-  Analysis(const Program &P, const PointsToOptions &O) : Prog(P), Opts(O) {
-    FieldIDs["*"] = StarField;
-    FieldIDs["__proto__"] = ProtoField;
-  }
+  Analysis(const Program &P, const PointsToOptions &O) : Prog(P), Opts(O) {}
 
   // ---------------------------------------------------------------- setup --
 
   AbsObj makeObject(AbstractObject O) {
     Objects.push_back(O);
+    ObjFields.emplace_back();
+    LoadAllSinks.emplace_back();
     return static_cast<AbsObj>(Objects.size() - 1);
   }
 
-  FieldID fieldID(const std::string &Name) {
-    auto It = FieldIDs.find(Name);
-    if (It != FieldIDs.end())
-      return It->second;
-    FieldID ID = static_cast<FieldID>(FieldIDs.size());
-    FieldIDs.emplace(Name, ID);
-    return ID;
-  }
+  FunctionInfo &info(const FunctionExpr *F) { return Functions.at(F); }
 
   VarID makeVar() {
     PointsTo.emplace_back();
     Processed.emplace_back();
     Succ.emplace_back();
+    SuccBits.emplace_back();
     Triggers.emplace_back();
-    TriggerKeys.emplace_back();
-    InWorklist.push_back(false);
+    InWorklist.push_back(0);
     return static_cast<VarID>(PointsTo.size() - 1);
   }
 
   VarID exprVar(const Expr *E) {
-    auto It = ExprVars.find(E->getID());
-    if (It != ExprVars.end())
-      return It->second;
-    VarID V = makeVar();
-    ExprVars.emplace(E->getID(), V);
-    return V;
+    auto [It, Inserted] = ExprVars.try_emplace(E->getID());
+    if (Inserted)
+      It->second = makeVar();
+    return It->second;
   }
 
-  VarID localVar(const FunctionExpr *Fn, const std::string &Name) {
-    auto &Map = LocalVars[Fn];
-    auto It = Map.find(Name);
-    if (It != Map.end())
-      return It->second;
-    VarID V = makeVar();
-    Map.emplace(Name, V);
-    return V;
+  VarID localVar(const FunctionExpr *Fn, StringId Name) {
+    auto [It, Inserted] = LocalVars.try_emplace({Fn, Name});
+    if (Inserted)
+      It->second = makeVar();
+    return It->second;
   }
 
   VarID retVar(const FunctionExpr *Fn) {
-    auto It = RetVars.find(Fn);
-    if (It != RetVars.end())
-      return It->second;
-    VarID V = makeVar();
-    RetVars.emplace(Fn, V);
+    VarID &V = info(Fn).Ret;
+    if (V == NoVar)
+      V = makeVar();
     return V;
   }
 
   VarID thisVar(const FunctionExpr *Fn) {
-    auto It = ThisVars.find(Fn);
-    if (It != ThisVars.end())
-      return It->second;
-    VarID V = makeVar();
-    ThisVars.emplace(Fn, V);
+    VarID &V = info(Fn).This;
+    if (V == NoVar)
+      V = makeVar();
     return V;
   }
 
   VarID fieldVar(AbsObj O, FieldID F) {
-    uint64_t Key = (static_cast<uint64_t>(O) << 24) | F;
-    auto It = FieldVars.find(Key);
-    if (It != FieldVars.end())
+    uint64_t Key = (static_cast<uint64_t>(O) << 32) | F;
+    auto [It, Inserted] = FieldVars.try_emplace(Key);
+    if (!Inserted)
       return It->second;
     VarID V = makeVar();
-    FieldVars.emplace(Key, V);
-    ObjFields[O].emplace_back(F, V);
+    It->second = V;
+    FieldPool.push(ObjFields[O], {F, V});
     // Late wiring: an unknown-name load registered earlier must see this
     // newly materialized field.
-    if (F != ProtoField) {
-      auto SinkIt = LoadAllSinks.find(O);
-      if (SinkIt != LoadAllSinks.end())
-        for (VarID Dst : SinkIt->second)
-          addEdge(V, Dst);
-    }
+    if (F != ProtoField)
+      for (uint32_t I = 0; I < LoadAllSinks[O].Len; ++I)
+        addEdge(V, SinkPool.at(LoadAllSinks[O], I));
     return V;
   }
 
   /// Resolves an identifier lexically from function \p Fn outward; names not
   /// declared anywhere become globals (sloppy mode).
-  VarID resolveVar(const FunctionExpr *Fn, const std::string &Name) {
-    for (const FunctionExpr *F = Fn; F; F = ParentFn[F]) {
-      auto It = DeclaredNames.find(F);
-      if (It != DeclaredNames.end() && It->second.count(Name))
+  VarID resolveVar(const FunctionExpr *Fn, StringId Name) {
+    for (const FunctionExpr *F = Fn; F; F = info(F).Parent)
+      if (DeclaredNames.contains({F, Name}))
         return localVar(F, Name);
-    }
     return localVar(nullptr, Name);
   }
 
@@ -241,51 +285,129 @@ struct Analysis {
 
   void enqueue(VarID V) {
     if (!InWorklist[V]) {
-      InWorklist[V] = true;
+      InWorklist[V] = 1;
       Worklist.push_back(V);
     }
   }
 
-  void addObj(VarID V, AbsObj O) {
-    if (!Budget)
+  /// Widens row \p S to at least \p N words.
+  void growRow(Span &S, uint32_t N) {
+    if (N <= S.Len)
       return;
-    if (PointsTo[V].set(O)) {
-      if (++Steps > Opts.MaxPropagationSteps)
-        Budget = false;
-      enqueue(V);
+    Words.reserve(S, N);
+    S.Len = N;
+  }
+
+  bool testBit(const Span &Row, uint32_t I) {
+    return (I >> 6) < Row.Len && (Words.at(Row, I >> 6) >> (I & 63)) & 1;
+  }
+
+  uint64_t count(const Span &Row) {
+    uint64_t N = 0;
+    for (uint32_t W = 0; W < Row.Len; ++W)
+      N += static_cast<uint64_t>(__builtin_popcountll(Words.at(Row, W)));
+    return N;
+  }
+
+  /// Sets bit \p I of a row; false if it was already set.
+  bool setBit(Span &Row, uint32_t I) {
+    growRow(Row, (I >> 6) + 1);
+    uint64_t &Word = Words.at(Row, I >> 6);
+    uint64_t Mask = 1ULL << (I & 63);
+    if (Word & Mask)
+      return false;
+    Word |= Mask;
+    return true;
+  }
+
+  void addObj(VarID V, AbsObj O) {
+    if (!Budget || !setBit(PointsTo[V], O))
+      return;
+    if (++Steps > Opts.MaxPropagationSteps)
+      Budget = false;
+    enqueue(V);
+  }
+
+  /// Adds every object of \p From to \p To, with the steps, trip point and
+  /// enqueue that calling addObj for each object in ascending order would
+  /// have.
+  void addAll(VarID From, VarID To) {
+    uint32_t Len = PointsTo[From].Len;
+    if (!Budget || !Len)
+      return;
+    growRow(PointsTo[To], Len);
+    uint64_t *Dst = Words.data(PointsTo[To]);
+    const uint64_t *Src = Words.data(PointsTo[From]);
+    bool Added = false;
+    for (uint32_t W = 0; W < Len; ++W) {
+      uint64_t New = Src[W] & ~Dst[W];
+      if (!New)
+        continue;
+      Added = true;
+      auto N = static_cast<uint64_t>(__builtin_popcountll(New));
+      if (Steps + N <= Opts.MaxPropagationSteps) {
+        Dst[W] |= New;
+        Steps += N;
+        continue;
+      }
+      // The budget trips inside this word: stop at the same object.
+      for (;; New &= New - 1) {
+        Dst[W] |= New & -New;
+        if (++Steps > Opts.MaxPropagationSteps)
+          break;
+      }
+      Budget = false;
+      break;
     }
+    if (Added)
+      enqueue(To);
+  }
+
+  /// Duplicate check. A short successor list is scanned; once it reaches
+  /// ScanLimit its targets move into a bit row over variables, which
+  /// answers from then on (a scan beats a probe for the typical small
+  /// fan-out, the row keeps wide fan-outs linear).
+  bool isNewEdge(VarID From, VarID To) {
+    if (Succ[From].Len >= ScanLimit)
+      return setBit(SuccBits[From], To);
+    const VarID *List = SuccPool.data(Succ[From]);
+    uint32_t Len = Succ[From].Len;
+    if (std::find(List, List + Len, To) != List + Len)
+      return false;
+    if (Len + 1 == ScanLimit) {
+      for (uint32_t I = 0; I < Len; ++I)
+        setBit(SuccBits[From], List[I]);
+      setBit(SuccBits[From], To);
+    }
+    return true;
   }
 
   void addEdge(VarID From, VarID To) {
-    if (From == To)
+    if (From == To || !isNewEdge(From, To))
       return;
-    // Linear duplicate check is fine: fan-out is modest per variable.
-    for (VarID S : Succ[From])
-      if (S == To)
-        return;
-    Succ[From].push_back(To);
+    SuccPool.push(Succ[From], To);
     ++Result.NumCopyEdges;
-    PointsTo[From].forEach([&](AbsObj O) { addObj(To, O); });
+    addAll(From, To);
   }
 
-  uint64_t triggerKey(const Trigger &T) const {
-    uint64_t H = static_cast<uint64_t>(T.K);
-    H = H * 1000003 + T.Field;
-    H = H * 1000003 + T.Other;
-    H = H * 1000003 + T.CallNode;
-    H = H * 1000003 + T.Result;
-    return H;
-  }
-
-  void addTrigger(VarID V, Trigger T) {
-    uint64_t Key = triggerKey(T);
-    if (!TriggerKeys[V].insert(Key).second)
+  void addTrigger(VarID V, const Trigger &T) {
+    if (!TriggerKeys.insert(
+            {V, T.K, T.Field, T.Other, T.CallNode, T.Result}))
       return;
-    // Apply to already-known objects, then store for future ones. Work on a
-    // copy: applyTrigger may grow Triggers[V] and invalidate references.
-    Bits Snapshot = PointsTo[V];
-    Triggers[V].push_back(T);
-    Snapshot.forEach([&](AbsObj O) { applyTrigger(T, O); });
+    TriggerPool.push(Triggers[V], T);
+    if (!Budget)
+      return;
+    // Apply to the objects V holds now, then leave it to solve() for future
+    // ones. Iterate a copy: applying may add objects to V itself.
+    Span Row = PointsTo[V];
+    size_t Base = SnapshotStack.size();
+    SnapshotStack.insert(SnapshotStack.end(), Words.data(Row),
+                         Words.data(Row) + Row.Len);
+    for (uint32_t W = 0; W < Row.Len && Budget; ++W)
+      for (uint64_t Bits = SnapshotStack[Base + W]; Bits && Budget;
+           Bits &= Bits - 1)
+        applyTrigger(T, (W << 6) + __builtin_ctzll(Bits));
+    SnapshotStack.resize(Base);
   }
 
   void applyTrigger(const Trigger &T, AbsObj O) {
@@ -296,18 +418,18 @@ struct Analysis {
       addEdge(fieldVar(O, T.Field), T.Other);
       addEdge(fieldVar(O, StarField), T.Other);
       // Prototype chain: the same load applies to whatever __proto__ holds.
-      Trigger PL = T;
-      addTrigger(fieldVar(O, ProtoField), PL);
+      addTrigger(fieldVar(O, ProtoField), T);
       break;
     }
     case Trigger::LoadAll: {
-      for (const auto &[F, V] : ObjFields[O])
+      for (uint32_t I = 0; I < ObjFields[O].Len; ++I) {
+        auto [F, V] = FieldPool.at(ObjFields[O], I);
         if (F != ProtoField)
           addEdge(V, T.Other);
-      LoadAllSinks[O].push_back(T.Other);
+      }
+      SinkPool.push(LoadAllSinks[O], T.Other);
       addEdge(fieldVar(O, StarField), T.Other);
-      Trigger PL = T;
-      addTrigger(fieldVar(O, ProtoField), PL);
+      addTrigger(fieldVar(O, ProtoField), T);
       break;
     }
     case Trigger::Store:
@@ -322,6 +444,10 @@ struct Analysis {
     }
   }
 
+  VarID arg(const Trigger &T, uint32_t I) const {
+    return ArgPool[T.ArgOff + I];
+  }
+
   void applyCall(const Trigger &T, AbsObj O) {
     const AbstractObject &AO = Objects[O];
     if (AO.K == AbstractObject::FunctionObj) {
@@ -330,9 +456,10 @@ struct Analysis {
         Result.CallTargets[T.CallNode].insert(F->getID());
       generateFunction(F);
       // Parameters.
-      for (size_t I = 0; I < F->getParams().size(); ++I)
-        if (I < T.Args.size())
-          addEdge(T.Args[I], localVar(F, F->getParams()[I]));
+      const std::vector<StringId> &Params = F->getParamAtoms();
+      for (uint32_t I = 0; I < Params.size(); ++I)
+        if (I < T.NumArgs)
+          addEdge(arg(T, I), localVar(F, Params[I]));
       // Return value.
       addEdge(retVar(F), T.Result);
       // this-binding.
@@ -341,7 +468,7 @@ struct Analysis {
         addObj(thisVar(F), NewObj);
         addObj(T.Result, NewObj);
         // newObj.__proto__ ⊇ F.prototype.
-        addEdge(fieldVar(FunctionObjs.at(F), fieldID("prototype")),
+        addEdge(fieldVar(info(F).Obj, PrototypeField),
                 fieldVar(NewObj, ProtoField));
       } else if (T.Receiver) {
         addEdge(T.Receiver, thisVar(F));
@@ -362,10 +489,10 @@ struct Analysis {
     case NativeFn::ArrPush:
       // Arguments flow into the receiver's merged element field.
       if (T.Receiver)
-        for (VarID Arg : T.Args) {
+        for (uint32_t I = 0; I < T.NumArgs; ++I) {
           Trigger St;
           St.K = Trigger::StoreStar;
-          St.Other = Arg;
+          St.Other = arg(T, I);
           addTrigger(T.Receiver, St);
         }
       break;
@@ -393,8 +520,9 @@ struct Analysis {
         Ld.Other = ElemField;
         addTrigger(T.Receiver, Ld);
       }
-      for (VarID Arg : T.Args) {
+      for (uint32_t I = 0; I < T.NumArgs; ++I) {
         // Array arguments contribute their elements; scalars flow directly.
+        VarID Arg = arg(T, I);
         Trigger Ld;
         Ld.K = Trigger::Load;
         Ld.Field = StarField;
@@ -409,14 +537,14 @@ struct Analysis {
       addObj(T.Result, DomElementObj);
       break;
     case NativeFn::DomAddEventListener:
-      if (Opts.ModelEventHandlers && T.Args.size() >= 2) {
+      if (Opts.ModelEventHandlers && T.NumArgs >= 2) {
         Trigger HandlerCall;
         HandlerCall.K = Trigger::Call;
         HandlerCall.CallNode = T.CallNode;
         HandlerCall.Result = makeVar();
         HandlerCall.Receiver = makeVar();
         addObj(HandlerCall.Receiver, DocumentObj);
-        addTrigger(T.Args[1], HandlerCall);
+        addTrigger(arg(T, 1), HandlerCall);
       }
       break;
     case NativeFn::StringCtor:
@@ -437,89 +565,65 @@ struct Analysis {
 
   // ----------------------------------------------------------- pre-pass --
 
-  void collectDeclared(const FunctionExpr *Fn, const Stmt *S) {
-    if (!S)
-      return;
-    switch (S->getKind()) {
+  /// Global names need no record: resolveVar falls back to them.
+  void declare(const FunctionExpr *Fn, StringId Name) {
+    if (Fn)
+      DeclaredNames.insert({Fn, Name});
+  }
+
+  /// Enumerates the abstract objects under \p N and the names each function
+  /// declares (vars, inner function declarations, for-in and catch
+  /// variables, parameters and its own name).
+  void walk(const Node *N, const FunctionExpr *Enclosing) {
+    switch (N->getKind()) {
     case NodeKind::VarDeclStmt:
-      for (const auto &D : cast<VarDeclStmt>(S)->getDeclarators())
-        DeclaredNames[Fn].insert(D.Name);
-      return;
+      for (const auto &D : cast<VarDeclStmt>(N)->getDeclarators())
+        declare(Enclosing, D.Atom);
+      break;
     case NodeKind::FunctionDeclStmt:
-      DeclaredNames[Fn].insert(
-          cast<FunctionDeclStmt>(S)->getFunction()->getName());
-      return;
+      declare(Enclosing,
+              cast<FunctionDeclStmt>(N)->getFunction()->getNameAtom());
+      break;
     case NodeKind::ForInStmt:
-      if (cast<ForInStmt>(S)->declaresVar())
-        DeclaredNames[Fn].insert(cast<ForInStmt>(S)->getVar());
+      if (cast<ForInStmt>(N)->declaresVar())
+        declare(Enclosing, cast<ForInStmt>(N)->getVarAtom());
       break;
     case NodeKind::TryStmt:
-      if (!cast<TryStmt>(S)->getCatchParam().empty())
-        DeclaredNames[Fn].insert(cast<TryStmt>(S)->getCatchParam());
+      if (!cast<TryStmt>(N)->getCatchParam().empty())
+        declare(Enclosing, cast<TryStmt>(N)->getCatchAtom());
       break;
-    case NodeKind::SwitchStmt:
-      break; // Clauses handled via child traversal below.
     default:
       break;
     }
-    forEachChild(S, [&](const Node *Child) {
-      if (isa<FunctionExpr>(Child))
-        return; // Nested functions have their own scope.
-      if (const auto *CS = dyn_cast<Stmt>(Child))
-        collectDeclared(Fn, CS);
-      else
-        collectDeclaredExpr(Fn, cast<Expr>(Child));
-    });
-  }
-
-  void collectDeclaredExpr(const FunctionExpr *Fn, const Expr *E) {
-    forEachChild(E, [&](const Node *Child) {
-      if (isa<FunctionExpr>(Child))
-        return;
-      if (const auto *CS = dyn_cast<Stmt>(Child))
-        collectDeclared(Fn, CS);
-      else
-        collectDeclaredExpr(Fn, cast<Expr>(Child));
-    });
+    if (const auto *F = dyn_cast<FunctionExpr>(N)) {
+      FunctionInfo &FI = Functions[F];
+      FI.Parent = Enclosing;
+      FI.Obj = makeObject({AbstractObject::FunctionObj, F, F->getID(),
+                           NativeFn::None,
+                           F->getName().empty() ? "<anon>"
+                                                : F->getName().c_str()});
+      FI.Proto = makeObject({AbstractObject::ProtoObj, F, F->getID(),
+                             NativeFn::None, "proto"});
+      for (StringId P : F->getParamAtoms())
+        declare(F, P);
+      if (!F->getName().empty())
+        declare(F, F->getNameAtom());
+      forEachChild(F->getBody(), [&](const Node *C) { walk(C, F); });
+      return;
+    }
+    if (isa<ObjectLiteral>(N) || isa<ArrayLiteral>(N) || isa<NewExpr>(N))
+      SiteObjs[N->getID()] =
+          makeObject({AbstractObject::SiteObj, nullptr, N->getID(),
+                      NativeFn::None, "site"});
+    forEachChild(N, [&](const Node *C) { walk(C, Enclosing); });
   }
 
   void prePass() {
-    // Enumerate the abstract-object universe and scope structure.
-    std::vector<const FunctionExpr *> Stack;
-    std::function<void(const Node *, const FunctionExpr *)> Walk =
-        [&](const Node *N, const FunctionExpr *Enclosing) {
-          if (const auto *F = dyn_cast<FunctionExpr>(N)) {
-            ParentFn[F] = Enclosing;
-            FunctionObjs[F] = makeObject(
-                {AbstractObject::FunctionObj, F, F->getID(), NativeFn::None,
-                 F->getName().empty() ? "<anon>" : F->getName().c_str()});
-            ProtoObjs[F] = makeObject(
-                {AbstractObject::ProtoObj, F, F->getID(), NativeFn::None,
-                 "proto"});
-            for (const std::string &P : F->getParams())
-              DeclaredNames[F].insert(P);
-            if (!F->getName().empty())
-              DeclaredNames[F].insert(F->getName());
-            collectDeclared(F, F->getBody());
-            forEachChild(F->getBody(),
-                         [&](const Node *C) { Walk(C, F); });
-            return;
-          }
-          if (isa<ObjectLiteral>(N) || isa<ArrayLiteral>(N) ||
-              isa<NewExpr>(N))
-            SiteObjs[N->getID()] =
-                makeObject({AbstractObject::SiteObj, nullptr, N->getID(),
-                            NativeFn::None, "site"});
-          forEachChild(N, [&](const Node *C) { Walk(C, Enclosing); });
-        };
-
     // Reserve object 0 as invalid.
     makeObject({AbstractObject::Singleton, nullptr, 0, NativeFn::None,
                 "<invalid>"});
-    for (const Stmt *S : Prog.Body) {
-      collectDeclared(nullptr, S);
-      Walk(S, nullptr);
-    }
+    for (const Stmt *S : Prog.Body)
+      walk(S, nullptr);
 
     auto MakeSingleton = [&](const char *Name) {
       return makeObject(
@@ -540,22 +644,21 @@ struct Analysis {
   }
 
   AbsObj nativeObj(NativeFn Fn) {
-    auto Key = static_cast<uint16_t>(Fn);
-    auto It = NativeObjs.find(Key);
+    auto It = NativeObjs.find(Fn);
     if (It != NativeObjs.end())
       return It->second;
     AbsObj O = makeObject({AbstractObject::NativeObj, nullptr, 0, Fn,
                            nativeInfo(Fn).Name});
-    NativeObjs.emplace(Key, O);
+    NativeObjs.emplace(Fn, O);
     return O;
   }
 
   void seedGlobals() {
     auto Global = [&](const char *Name, AbsObj O) {
-      addObj(localVar(nullptr, Name), O);
+      addObj(localVar(nullptr, intern(Name)), O);
     };
     auto Field = [&](AbsObj O, const char *Name, AbsObj V) {
-      addObj(fieldVar(O, fieldID(Name)), V);
+      addObj(fieldVar(O, intern(Name).Raw), V);
     };
 
     Global("window", WindowObj);
@@ -646,11 +749,13 @@ struct Analysis {
   /// Generates constraints for a function body once, when it becomes a call
   /// target (on-the-fly call graph).
   void generateFunction(const FunctionExpr *F) {
-    if (!Generated.insert(F).second)
+    FunctionInfo &FI = info(F);
+    if (FI.Generated)
       return;
+    FI.Generated = true;
     ++Result.ReachableFunctions;
     if (!F->getName().empty())
-      addObj(localVar(F, F->getName()), FunctionObjs.at(F));
+      addObj(localVar(F, F->getNameAtom()), FI.Obj);
     genStmt(F, F->getBody());
   }
 
@@ -665,13 +770,13 @@ struct Analysis {
       for (const auto &D : cast<VarDeclStmt>(S)->getDeclarators())
         if (D.Init) {
           VarID V = genExpr(Fn, D.Init);
-          addEdge(V, resolveVar(Fn, D.Name));
+          addEdge(V, resolveVar(Fn, D.Atom));
         }
       return;
     case NodeKind::FunctionDeclStmt: {
       const FunctionExpr *F = cast<FunctionDeclStmt>(S)->getFunction();
       seedFunctionObject(F);
-      addObj(resolveVar(Fn, F->getName()), FunctionObjs.at(F));
+      addObj(resolveVar(Fn, F->getNameAtom()), info(F).Obj);
       return;
     }
     case NodeKind::BlockStmt:
@@ -706,7 +811,7 @@ struct Analysis {
     case NodeKind::ForInStmt: {
       const auto *F = cast<ForInStmt>(S);
       genExpr(Fn, F->getObject());
-      addObj(resolveVar(Fn, F->getVar()), StringPrimObj);
+      addObj(resolveVar(Fn, F->getVarAtom()), StringPrimObj);
       genStmt(Fn, F->getBody());
       return;
     }
@@ -725,7 +830,7 @@ struct Analysis {
       genStmt(Fn, T->getBlock());
       if (T->getCatchBlock()) {
         if (!T->getCatchParam().empty())
-          addEdge(ThrownVar, resolveVar(Fn, T->getCatchParam()));
+          addEdge(ThrownVar, resolveVar(Fn, T->getCatchAtom()));
         genStmt(Fn, T->getCatchBlock());
       }
       genStmt(Fn, T->getFinallyBlock());
@@ -748,10 +853,11 @@ struct Analysis {
   }
 
   void seedFunctionObject(const FunctionExpr *F) {
-    AbsObj FO = FunctionObjs.at(F);
-    AbsObj PO = ProtoObjs.at(F);
-    addObj(fieldVar(FO, fieldID("prototype")), PO);
-    addObj(fieldVar(PO, fieldID("constructor")), FO);
+    const FunctionInfo &FI = info(F);
+    AbsObj FO = FI.Obj;
+    AbsObj PO = FI.Proto;
+    addObj(fieldVar(FO, PrototypeField), PO);
+    addObj(fieldVar(PO, ConstructorField), FO);
     addObj(fieldVar(PO, ProtoField), ObjectProtoObj);
   }
 
@@ -768,7 +874,7 @@ struct Analysis {
       addObj(Out, StringPrimObj);
       return Out;
     case NodeKind::Identifier:
-      addEdge(resolveVar(Fn, cast<Identifier>(E)->getName()), Out);
+      addEdge(resolveVar(Fn, cast<Identifier>(E)->getAtom()), Out);
       return Out;
     case NodeKind::This:
       if (Fn)
@@ -789,13 +895,13 @@ struct Analysis {
       addObj(Out, O);
       addObj(fieldVar(O, ProtoField), ObjectProtoObj);
       for (const auto &P : cast<ObjectLiteral>(E)->getProperties())
-        addEdge(genExpr(Fn, P.Value), fieldVar(O, fieldID(P.Key)));
+        addEdge(genExpr(Fn, P.Value), fieldVar(O, P.KeyAtom.Raw));
       return Out;
     }
     case NodeKind::Function: {
       const auto *F = cast<FunctionExpr>(E);
       seedFunctionObject(F);
-      addObj(Out, FunctionObjs.at(F));
+      addObj(Out, info(F).Obj);
       return Out;
     }
     case NodeKind::Member: {
@@ -833,7 +939,7 @@ struct Analysis {
       const auto *A = cast<AssignExpr>(E);
       VarID V = genExpr(Fn, A->getValue());
       if (const auto *Id = dyn_cast<Identifier>(A->getTarget())) {
-        addEdge(V, resolveVar(Fn, Id->getName()));
+        addEdge(V, resolveVar(Fn, Id->getAtom()));
       } else {
         const auto *M = cast<MemberExpr>(A->getTarget());
         VarID Base = genExpr(Fn, M->getObject());
@@ -855,13 +961,13 @@ struct Analysis {
   }
 
   /// Static field name if the access is non-computed or uses a string
-  /// literal index; empty optional = unknown (★).
-  static const std::string *staticFieldName(const MemberExpr *M) {
+  /// literal index; invalid atom = unknown (★).
+  static StringId staticFieldName(const MemberExpr *M) {
     if (!M->isComputed())
-      return &M->getProperty();
+      return M->getPropertyAtom();
     if (const auto *S = dyn_cast<StringLiteral>(M->getIndex()))
-      return &S->getValue();
-    return nullptr;
+      return S->getAtom();
+    return StringId();
   }
 
   void genLoad(const FunctionExpr *Fn, const MemberExpr *M, VarID Base,
@@ -869,9 +975,9 @@ struct Analysis {
     if (M->isComputed() && !isa<StringLiteral>(M->getIndex()))
       genExpr(Fn, M->getIndex());
     Trigger T;
-    if (const std::string *Name = staticFieldName(M)) {
+    if (StringId Name = staticFieldName(M)) {
       T.K = Trigger::Load;
-      T.Field = fieldID(*Name);
+      T.Field = Name.Raw;
     } else {
       T.K = Trigger::LoadAll;
     }
@@ -884,9 +990,9 @@ struct Analysis {
     if (M->isComputed() && !isa<StringLiteral>(M->getIndex()))
       genExpr(Fn, M->getIndex());
     Trigger T;
-    if (const std::string *Name = staticFieldName(M)) {
+    if (StringId Name = staticFieldName(M)) {
       T.K = Trigger::Store;
-      T.Field = fieldID(*Name);
+      T.Field = Name.Raw;
     } else {
       T.K = Trigger::StoreStar;
     }
@@ -916,8 +1022,14 @@ struct Analysis {
     } else {
       CalleeV = genExpr(Fn, CalleeE);
     }
+    // Collect first: calls nested in the arguments append their own.
+    std::vector<VarID> ArgVars;
+    ArgVars.reserve(Args.size());
     for (const Expr *A : Args)
-      T.Args.push_back(genExpr(Fn, A));
+      ArgVars.push_back(genExpr(Fn, A));
+    T.ArgOff = static_cast<uint32_t>(ArgPool.size());
+    T.NumArgs = static_cast<uint32_t>(ArgVars.size());
+    ArgPool.insert(ArgPool.end(), ArgVars.begin(), ArgVars.end());
     CallSiteCalleeVar[E->getID()] = CalleeV;
     addTrigger(CalleeV, T);
   }
@@ -925,28 +1037,40 @@ struct Analysis {
   // ---------------------------------------------------------------- solve --
 
   void solve() {
-    while (!Worklist.empty() && Budget) {
-      VarID V = Worklist.front();
-      Worklist.pop_front();
-      InWorklist[V] = false;
+    while (WorklistHead < Worklist.size() && Budget) {
+      VarID V = Worklist[WorklistHead++];
+      InWorklist[V] = 0;
 
       // New objects since last processing.
-      std::vector<AbsObj> Delta;
-      PointsTo[V].forEach([&](AbsObj O) {
-        if (Processed[V].set(O))
-          Delta.push_back(O);
-      });
+      Delta.clear();
+      uint32_t Len = PointsTo[V].Len;
+      growRow(Processed[V], Len);
+      const uint64_t *Row = Words.data(PointsTo[V]);
+      uint64_t *Done = Words.data(Processed[V]);
+      for (uint32_t W = 0; W < Len; ++W) {
+        uint64_t New = Row[W] & ~Done[W];
+        Done[W] |= New;
+        for (; New; New &= New - 1)
+          Delta.push_back((W << 6) + __builtin_ctzll(New));
+      }
       for (AbsObj O : Delta) {
-        // Triggers may grow (and reallocate) while we iterate; index loop
-        // over a by-value copy of each entry.
-        for (size_t I = 0; I < Triggers[V].size() && Budget; ++I) {
-          Trigger T = Triggers[V][I];
+        // Triggers may grow (and move) while we iterate; index loop over a
+        // by-value copy of each entry.
+        for (uint32_t I = 0; I < Triggers[V].Len && Budget; ++I) {
+          Trigger T = TriggerPool.at(Triggers[V], I);
           applyTrigger(T, O);
         }
       }
       // Copy edges.
-      for (VarID S : Succ[V])
-        PointsTo[V].forEach([&](AbsObj O) { addObj(S, O); });
+      for (uint32_t I = 0; I < Succ[V].Len; ++I)
+        addAll(V, SuccPool.at(Succ[V], I));
+
+      // Drop the consumed prefix once it dominates the queue.
+      if (WorklistHead > 4096 && WorklistHead * 2 > Worklist.size()) {
+        Worklist.erase(Worklist.begin(),
+                       Worklist.begin() + static_cast<ptrdiff_t>(WorklistHead));
+        WorklistHead = 0;
+      }
     }
   }
 
@@ -956,9 +1080,10 @@ struct Analysis {
     Result.NumAbstractObjects = Objects.size();
     Result.NumConstraintVars = PointsTo.size();
     size_t NonEmpty = 0;
-    for (const Bits &B : PointsTo) {
-      Result.TotalPointsToSize += B.count();
-      if (!B.empty())
+    for (const Span &Row : PointsTo) {
+      uint64_t Count = count(Row);
+      Result.TotalPointsToSize += Count;
+      if (Count)
         ++NonEmpty;
     }
     Result.AvgPointsToSize =
@@ -974,20 +1099,26 @@ struct Analysis {
             ? 0
             : double(Result.CallGraphEdges) / double(Result.CallTargets.size());
 
-    AbsObj EvalObj = 0;
-    auto It = NativeObjs.find(static_cast<uint16_t>(NativeFn::Eval));
-    if (It != NativeObjs.end())
-      EvalObj = It->second;
+    auto It = NativeObjs.find(NativeFn::Eval);
+    if (It == NativeObjs.end())
+      return;
+    AbsObj EvalObj = It->second;
     for (const auto &[Site, CalleeV] : CallSiteCalleeVar) {
-      if (!EvalObj || !PointsTo[CalleeV].test(EvalObj))
+      if (!testBit(PointsTo[CalleeV], EvalObj))
         continue;
       Result.EvalMaybeCallSites.insert(Site);
-      if (PointsTo[CalleeV].count() == 1)
+      if (count(PointsTo[CalleeV]) == 1)
         Result.EvalOnlyCallSites.insert(Site);
     }
   }
 
   void run() {
+    // Size the busiest tables for the program: growing them one rehash at
+    // a time costs more than the spare room.
+    size_t N = Prog.Context->nodeCount();
+    TriggerKeys.reserve(N / 2);
+    FieldVars.reserve(N / 2);
+    ExprVars.reserve(N / 2);
     prePass();
     seedGlobals();
     for (const Stmt *S : Prog.Body)

@@ -212,7 +212,7 @@ bool hasSpecializationOpportunity(const Node *N) {
 class Emitter {
 public:
   Emitter(const Program &P, AnalysisResult &A, const SpecializerOptions &Opts)
-      : Orig(P), A(A), Opts(Opts) {
+      : Orig(P), A(A), Opts(Opts), Uniform(A.Facts) {
     indexOriginal();
     computeUsefulContexts();
   }
@@ -300,12 +300,6 @@ private:
            C = A.Contexts.entry(C).Parent)
         UsefulCtxs.insert(C);
     }
-  }
-
-  /// Context-insensitive fallback (FactDB::uniform): the merged value over
-  /// all observed contexts, or null if any disagree / are indeterminate.
-  const FactValue *uniformFact(FactKind Kind, NodeID Node) {
-    return A.Facts.uniform(Kind, Node);
   }
 
   // ------------------------------------------------------------ helpers --
@@ -469,7 +463,7 @@ private:
       if (St.HasCtx)
         Sel = A.Facts.condition(Sw->getID(), St.Ctx);
       if (!Sel || !Sel->isDeterminate())
-        Sel = uniformFact(FactKind::Condition, Sw->getID());
+        Sel = Uniform.get(FactKind::Condition, Sw->getID());
     }
     if (Sel && Sel->K == FactValue::Number && Sel->Num >= 0 &&
         Sel->Num <= static_cast<double>(Clauses.size())) {
@@ -526,7 +520,7 @@ private:
       if (St.HasCtx)
         Cond = A.Facts.condition(If->getID(), St.Ctx);
       if ((!Cond || !Cond->isDeterminate()))
-        Cond = uniformFact(FactKind::Condition, If->getID());
+        Cond = Uniform.get(FactKind::Condition, If->getID());
     }
     if (Cond && Cond->isDeterminate() && Cond->K == FactValue::Boolean) {
       ++Report.BranchesPruned;
@@ -792,7 +786,7 @@ private:
       if (St.HasCtx)
         Name = A.Facts.propName(M->getID(), St.Ctx);
       if ((!Name || !Name->isDeterminate()))
-        Name = uniformFact(FactKind::PropName, M->getID());
+        Name = Uniform.get(FactKind::PropName, M->getID());
       if (!Name || !Name->isDeterminate())
         if (const auto *Id = dyn_cast<Identifier>(M->getIndex())) {
           auto It = St.KnownConsts.find(Id->getName());
@@ -866,6 +860,9 @@ private:
   const Program &Orig;
   AnalysisResult &A;
   const SpecializerOptions &Opts;
+  /// Context-insensitive fallback: the merged value over all observed
+  /// contexts, or null if any disagree or are indeterminate.
+  const UniformFacts Uniform;
   SpecializationReport Report;
 
   ASTContext *OutCtx = nullptr;

@@ -2,8 +2,13 @@
 
 #include "determinacy/Facts.h"
 
+#include "determinacy/Determinacy.h"
+#include "parser/Parser.h"
+#include "workloads/Workloads.h"
+
 #include <cmath>
 #include <gtest/gtest.h>
+#include <set>
 
 using namespace dda;
 
@@ -142,7 +147,7 @@ TEST(Facts, UniformAgreesAcrossContexts) {
   FactDB DB;
   DB.record({1, 10, FactKind::Condition, 0}, num(1));
   DB.record({1, 11, FactKind::Condition, 0}, num(1));
-  const FactValue *U = DB.uniform(FactKind::Condition, 1);
+  const FactValue *U = UniformFacts(DB).get(FactKind::Condition, 1);
   ASSERT_TRUE(U);
   EXPECT_DOUBLE_EQ(U->Num, 1);
 }
@@ -151,14 +156,66 @@ TEST(Facts, UniformRejectsDisagreementOrIndeterminacy) {
   FactDB DB;
   DB.record({1, 10, FactKind::Condition, 0}, num(1));
   DB.record({1, 11, FactKind::Condition, 0}, num(2));
-  EXPECT_EQ(DB.uniform(FactKind::Condition, 1), nullptr);
+  EXPECT_EQ(UniformFacts(DB).get(FactKind::Condition, 1), nullptr);
 
   FactDB DB2;
   DB2.record({1, 10, FactKind::Condition, 0}, num(1));
   DB2.record({1, 11, FactKind::Condition, 0}, FactValue::indet());
-  EXPECT_EQ(DB2.uniform(FactKind::Condition, 1), nullptr);
+  UniformFacts U2(DB2);
+  EXPECT_EQ(U2.get(FactKind::Condition, 1), nullptr);
   // Unobserved points have no uniform fact.
-  EXPECT_EQ(DB2.uniform(FactKind::EvalArg, 99), nullptr);
+  EXPECT_EQ(U2.get(FactKind::EvalArg, 99), nullptr);
+}
+
+/// The definition UniformFacts replaces: a scan of every fact, folding the
+/// matches at (Kind, Node) in table order.
+const FactValue *uniformByScan(const FactDB &DB, FactKind Kind, NodeID Node) {
+  const FactValue *Found = nullptr;
+  for (const auto &[Key, Val] : DB.all()) {
+    if (Key.Node != Node || Key.Kind != Kind)
+      continue;
+    if (!Val.isDeterminate())
+      return nullptr;
+    if (Found && !Found->sameAs(Val))
+      return nullptr;
+    Found = &Val;
+  }
+  return Found;
+}
+
+TEST(Facts, UniformIndexMatchesScanOnWorkloads) {
+  std::vector<std::string> Sources = {
+      workloads::figure1(), workloads::figure2(), workloads::figure3(),
+      workloads::figure4()};
+  for (int Minor = 0; Minor <= 3; ++Minor)
+    Sources.push_back(workloads::miniquery(Minor));
+  for (const auto &B : workloads::evalSuite())
+    Sources.push_back(B.Source);
+  size_t Points = 0, Determinate = 0;
+  for (const std::string &Source : Sources) {
+    DiagnosticEngine Diags;
+    Program P = parseProgram(Source, Diags);
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+    for (bool DetDom : {false, true}) {
+      AnalysisOptions Opts;
+      Opts.DeterminateDom = DetDom;
+      AnalysisResult A = runDeterminacyAnalysis(P, Opts);
+      UniformFacts U(A.Facts);
+      std::set<std::pair<FactKind, NodeID>> Seen;
+      for (const auto &[Key, Val] : A.Facts.all()) {
+        if (!Seen.insert({Key.Kind, Key.Node}).second)
+          continue;
+        const FactValue *Expected = uniformByScan(A.Facts, Key.Kind, Key.Node);
+        ASSERT_EQ(U.get(Key.Kind, Key.Node), Expected)
+            << factKindName(Key.Kind) << " node" << Key.Node;
+        ++Points;
+        Determinate += Expected != nullptr;
+      }
+    }
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(Determinate, 0u);
+  EXPECT_GT(Points, Determinate);
 }
 
 } // namespace

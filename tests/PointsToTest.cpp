@@ -3,7 +3,10 @@
 #include "pointsto/PointsTo.h"
 
 #include "ast/ASTWalk.h"
+#include "determinacy/Determinacy.h"
 #include "parser/Parser.h"
+#include "specialize/Specializer.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -213,6 +216,65 @@ TEST(PointsTo, BudgetExhaustionReportsIncomplete) {
   Opts.MaxPropagationSteps = 3;
   PointsToResult R = runPointsToAnalysis(P, Opts);
   EXPECT_FALSE(R.Completed);
+}
+
+void expectSameResult(const PointsToResult &A, const PointsToResult &B,
+                      const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(A.Completed, B.Completed);
+  EXPECT_EQ(A.PropagationSteps, B.PropagationSteps);
+  EXPECT_EQ(A.NumAbstractObjects, B.NumAbstractObjects);
+  EXPECT_EQ(A.NumConstraintVars, B.NumConstraintVars);
+  EXPECT_EQ(A.NumCopyEdges, B.NumCopyEdges);
+  EXPECT_EQ(A.ReachableFunctions, B.ReachableFunctions);
+  EXPECT_EQ(A.TotalPointsToSize, B.TotalPointsToSize);
+  EXPECT_EQ(A.AvgPointsToSize, B.AvgPointsToSize);
+  EXPECT_EQ(A.CallTargets, B.CallTargets);
+  EXPECT_EQ(A.CallGraphEdges, B.CallGraphEdges);
+  EXPECT_EQ(A.PolymorphicCallSites, B.PolymorphicCallSites);
+  EXPECT_EQ(A.AvgCallTargets, B.AvgCallTargets);
+  EXPECT_EQ(A.EvalOnlyCallSites, B.EvalOnlyCallSites);
+  EXPECT_EQ(A.EvalMaybeCallSites, B.EvalMaybeCallSites);
+}
+
+TEST(PointsTo, BudgetBoundaryIsExact) {
+  // A run that needs S insertions completes under a budget of S and stops
+  // under S - 1 on its (S)th insertion: the budget counts logical
+  // insertions, however the solver batches them.
+  std::vector<std::pair<std::string, Program>> Inputs;
+  for (int Minor = 0; Minor <= 3; ++Minor) {
+    std::string Name = "miniquery 1." + std::to_string(Minor);
+    Program P = parse(workloads::miniquery(Minor));
+    for (bool DetDom : {false, true}) {
+      AnalysisOptions Opts;
+      Opts.DeterminateDom = DetDom;
+      AnalysisResult A = runDeterminacyAnalysis(P, Opts);
+      Inputs.emplace_back(Name + (DetDom ? " Spec+DetDOM" : " Spec"),
+                          std::move(specializeProgram(P, A).Residual));
+    }
+    Inputs.emplace_back(Name, std::move(P));
+  }
+  const char *Figures[] = {workloads::figure1(), workloads::figure2(),
+                           workloads::figure3(), workloads::figure4()};
+  for (int I = 0; I < 4; ++I)
+    Inputs.emplace_back("figure " + std::to_string(I + 1), parse(Figures[I]));
+  for (const auto &B : workloads::evalSuite())
+    if (B.Runnable)
+      Inputs.emplace_back(B.Name, parse(B.Source));
+
+  for (const auto &[Name, P] : Inputs) {
+    PointsToResult Full = runPointsToAnalysis(P);
+    ASSERT_TRUE(Full.Completed) << Name;
+    uint64_t S = Full.PropagationSteps;
+    ASSERT_GT(S, 0u) << Name;
+    PointsToOptions Opts;
+    Opts.MaxPropagationSteps = S;
+    expectSameResult(runPointsToAnalysis(P, Opts), Full, Name + " at S");
+    Opts.MaxPropagationSteps = S - 1;
+    PointsToResult Short = runPointsToAnalysis(P, Opts);
+    EXPECT_FALSE(Short.Completed) << Name;
+    EXPECT_EQ(Short.PropagationSteps, S) << Name;
+  }
 }
 
 TEST(PointsTo, StringMethodReceiverResolution) {

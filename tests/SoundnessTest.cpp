@@ -31,6 +31,11 @@ using namespace dda;
 
 namespace {
 
+/// Scenario has no gtest printer, so each test id ends in the raw bytes of
+/// its parameter, starting with the `Name` pointer, and those bytes move
+/// whenever the string data linked into the test binary changes. Names of
+/// at least nine characters keep them out of the first 100 characters of
+/// the id.
 struct Scenario {
   const char *Name;
   const char *Source;
@@ -57,7 +62,7 @@ if (Math.random() > 2) { z.g = 42; z.f = 9; keep = 0; }
 var sum = z.f + keep;
 )JS"},
 
-    {"figure2", R"JS(
+    {"paper_figure2", R"JS(
 function checkf(p) { if (p.f < 32) setg(p, 42); }
 function setg(r, v) { r.g = v; }
 var x = { f: 23 }, y = { f: Math.random() * 100 };
